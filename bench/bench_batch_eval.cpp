@@ -1,9 +1,9 @@
-// Batched-evaluation engine benchmark: scalar LockEvaluator vs
-// lock::BatchEvaluator on the same key set, single-threaded (the SoA +
-// shared-noise/FFT win) and with the full thread pool (the fan-out win).
-// Before timing anything it verifies the engine's bit-exactness contract
-// on the exact workload being timed, so the reported speedup is for an
-// identical-output computation by construction.
+// Batched-evaluation benchmark: N one-key LockEvaluator calls vs one
+// N-key lock::BatchEvaluator call on the same key set, single-threaded
+// (the shared-noise/FFT win) and with the full thread pool (the fan-out
+// win). Before timing anything it verifies that both forms read the same
+// values on the exact workload being timed, so the reported speedup is
+// for an identical-output computation by construction.
 #include <algorithm>
 #include <cstdio>
 #include <vector>
@@ -40,11 +40,11 @@ Setup make_setup(std::size_t lanes) {
 }
 
 /// Bit-exactness gate: batched values (1 thread and N threads) must equal
-/// the scalar evaluator's, else the speedup below is meaningless.
+/// the one-key calls', else the speedup below is meaningless.
 bool verify_parity(const Setup& s, par::ThreadPool& pool1,
                    par::ThreadPool& pool_max) {
   const rf::Standard& standard = rf::standard_max_3ghz();
-  lock::LockEvaluator scalar(standard, s.pv, s.chip_rng);
+  lock::LockEvaluator one(standard, s.pv, s.chip_rng);
   lock::LockEvaluator ev1(standard, s.pv, s.chip_rng);
   lock::LockEvaluator evn(standard, s.pv, s.chip_rng);
   lock::BatchEvaluator batch1(ev1, &pool1);
@@ -53,16 +53,16 @@ bool verify_parity(const Setup& s, par::ThreadPool& pool1,
   const auto rxn = batchn.snr_receiver_db(s.keys);
   std::size_t mismatches = 0;
   for (std::size_t i = 0; i < s.keys.size(); ++i) {
-    const double ref = scalar.snr_receiver_db(s.keys[i]);
+    const double ref = one.snr_receiver_db(s.keys[i]);
     if (ref != rx1[i] || rx1[i] != rxn[i]) ++mismatches;
   }
   if (mismatches != 0) {
     std::fprintf(stderr,
-                 "FATAL: batch/scalar mismatch on %zu of %zu keys\n",
+                 "FATAL: batch/one-key mismatch on %zu of %zu keys\n",
                  mismatches, s.keys.size());
     return false;
   }
-  std::printf("parity: batch == scalar bit-exact on %zu keys "
+  std::printf("parity: batch == one-key calls bit-exact on %zu keys "
               "(1 and %zu threads)\n",
               s.keys.size(), pool_max.size());
   return true;
@@ -81,13 +81,13 @@ int main() {
   par::ThreadPool pool_max(threads);
 
   bench::banner("Batched SNR evaluation engine",
-                "scalar LockEvaluator vs BatchEvaluator, receiver + "
-                "modulator SNR oracles");
+                "N one-key LockEvaluator calls vs one N-key "
+                "BatchEvaluator call, receiver + modulator SNR oracles");
   std::printf("lanes=%zu threads=%zu\n", lanes, threads);
   if (!verify_parity(setup, pool1, pool_max)) return 1;
 
   const rf::Standard& standard = rf::standard_max_3ghz();
-  lock::LockEvaluator ev_scalar(standard, setup.pv, setup.chip_rng);
+  lock::LockEvaluator ev_one(standard, setup.pv, setup.chip_rng);
   lock::LockEvaluator ev_b1(standard, setup.pv, setup.chip_rng);
   lock::LockEvaluator ev_bn(standard, setup.pv, setup.chip_rng);
   lock::BatchEvaluator batch1(ev_b1, &pool1);
@@ -95,21 +95,21 @@ int main() {
 
   const double lanes_d = static_cast<double>(lanes);
   const double threads_d = static_cast<double>(threads);
-  bench::CaseOptions scalar_opt;
-  scalar_opt.ops_per_rep = lanes_d;
-  scalar_opt.notes = {{"lanes", lanes_d}, {"threads", 1.0}};
-  bench::CaseOptions t1_opt = scalar_opt;
-  bench::CaseOptions tmax_opt = scalar_opt;
+  bench::CaseOptions one_key_opt;
+  one_key_opt.ops_per_rep = lanes_d;
+  one_key_opt.notes = {{"lanes", lanes_d}, {"threads", 1.0}};
+  bench::CaseOptions t1_opt = one_key_opt;
+  bench::CaseOptions tmax_opt = one_key_opt;
   tmax_opt.notes = {{"lanes", lanes_d}, {"threads", threads_d}};
 
   h.add_case(
-      "snr_rx_scalar",
+      "snr_rx_one_key_calls",
       [&] {
         for (const auto& key : setup.keys) {
-          bench::do_not_optimize(ev_scalar.snr_receiver_db(key));
+          bench::do_not_optimize(ev_one.snr_receiver_db(key));
         }
       },
-      scalar_opt);
+      one_key_opt);
   h.add_case(
       "snr_rx_batch_t1",
       [&] { bench::do_not_optimize(batch1.snr_receiver_db(setup.keys)); },
@@ -119,13 +119,13 @@ int main() {
       [&] { bench::do_not_optimize(batchn.snr_receiver_db(setup.keys)); },
       tmax_opt);
   h.add_case(
-      "snr_mod_scalar",
+      "snr_mod_one_key_calls",
       [&] {
         for (const auto& key : setup.keys) {
-          bench::do_not_optimize(ev_scalar.snr_modulator_db(key));
+          bench::do_not_optimize(ev_one.snr_modulator_db(key));
         }
       },
-      scalar_opt);
+      one_key_opt);
   h.add_case(
       "snr_mod_batch_t1",
       [&] { bench::do_not_optimize(batch1.snr_modulator_db(setup.keys)); },

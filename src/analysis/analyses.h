@@ -54,10 +54,10 @@ void run_lock_order_analysis(const std::vector<ParsedFile>& files,
                              std::vector<Finding>& out);
 
 /// FP bit-exactness rules, scoped to batch-lane code (receiver_batch,
-/// batch_evaluator, fft_plan, or any file annotated `// analock:
-/// bit_exact`): reassociable reductions and thread-count-dependent
-/// accumulation (fp-reassoc), and fused-multiply-add expressions
-/// (fp-contract).
+/// fft_plan, or any file annotated `// analock: bit_exact`, such as the
+/// evaluator's metric cores): reassociable reductions and
+/// thread-count-dependent accumulation (fp-reassoc), and
+/// fused-multiply-add expressions (fp-contract).
 void run_fp_exact_analysis(const std::vector<ParsedFile>& files,
                            std::vector<Finding>& out);
 

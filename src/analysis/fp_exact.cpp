@@ -14,9 +14,9 @@
 // fp-contract — `std::fma`/`fmaf` calls: the fused result differs from
 // the unfused `a*b + c` the scalar reference path computes.
 //
-// Scope: files named receiver_batch.cpp, batch_evaluator.cpp, or
-// fft_plan.cpp (the batch lane set), plus any file annotated
-// `// analock: bit_exact`. Everything else may trade exactness for
+// Scope: files named receiver_batch.cpp or fft_plan.cpp (the batch lane
+// set), plus any file annotated `// analock: bit_exact` (such as the
+// evaluator's metric cores). Everything else may trade exactness for
 // speed freely.
 #include <cctype>
 #include <string>
@@ -53,8 +53,7 @@ std::string basename_of(const std::string& path) {
 bool in_scope(const ParsedFile& file) {
   if (file.bit_exact) return true;
   const std::string base = basename_of(file.source->path);
-  return base == "receiver_batch.cpp" || base == "batch_evaluator.cpp" ||
-         base == "fft_plan.cpp";
+  return base == "receiver_batch.cpp" || base == "fft_plan.cpp";
 }
 
 bool type_is_float(const std::string& type) {

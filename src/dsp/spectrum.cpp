@@ -261,7 +261,10 @@ SnrResult measure_snr(const Periodogram& p, double f_signal, double band_lo,
   } else if (result.noise_power <= 0.0) {
     result.snr_db = 200.0;  // noiseless capture: report a ceiling
   } else {
-    result.snr_db = sim::to_db(result.signal_power / result.noise_power);
+    // A tone buried more than 200 dB down reads the same "locked hard"
+    // floor as an absent one.
+    result.snr_db = std::max(
+        -200.0, sim::to_db(result.signal_power / result.noise_power));
   }
   return result;
 }

@@ -100,7 +100,7 @@ class Periodogram {
 
 /// Result of an SNR measurement.
 struct SnrResult {
-  double snr_db = 0.0;         ///< 10*log10(signal/noise) within the band
+  double snr_db = 0.0;         ///< 10*log10(signal/noise) in band, >= -200
   double signal_power = 0.0;   ///< integrated main-lobe signal power
   double noise_power = 0.0;    ///< integrated remaining in-band power
   double signal_freq_hz = 0.0; ///< frequency of the located signal peak

@@ -1,13 +1,10 @@
-// Batched lock evaluator: measures many key candidates per transient by
-// advancing them in lockstep through rf::ReceiverBatch.
+// Batched lock evaluator: binds a LockEvaluator to a worker pool so many
+// key candidates are measured per transient.
 //
-// The batch is an accelerator, not a different oracle: every returned
-// value is bit-identical to what the wrapped scalar LockEvaluator would
-// produce for the same key sequence, for any thread count (see
-// receiver_batch.h for why). Trial counters and fault-injector state
-// advance exactly as if the scalar evaluator had been called once per
-// key, so attack cost accounting and fault campaigns cannot tell the
-// difference.
+// It holds no logic of its own: every call forwards to the evaluator's
+// many-key oracles, so readings, trial counters and fault-injector state
+// are exactly those of one-key calls made in key order, for any thread
+// count.
 #pragma once
 
 #include <span>
@@ -20,58 +17,42 @@ namespace analock::lock {
 
 class BatchEvaluator {
  public:
-  /// Wraps `scalar` (not owned; must outlive the batch evaluator).
-  /// Measurements are charged to the scalar evaluator's trial counters
-  /// and routed through its fault injector. `pool` selects the worker
-  /// pool (not owned); nullptr uses par::ThreadPool::shared().
-  explicit BatchEvaluator(LockEvaluator& scalar,
+  /// Wraps `evaluator` (not owned; must outlive the batch evaluator).
+  /// `pool` selects the worker pool (not owned); nullptr uses
+  /// par::ThreadPool::shared().
+  explicit BatchEvaluator(LockEvaluator& evaluator,
                           par::ThreadPool* pool = nullptr)
-      : scalar_(&scalar), pool_(pool) {}
+      : ev_(&evaluator), pool_(pool) {}
 
-  [[nodiscard]] const LockEvaluator& scalar() const { return *scalar_; }
-
-  /// Batched LockEvaluator::snr_receiver_db: result i corresponds to
-  /// keys[i].
+  /// LockEvaluator::snr_receiver_db per key: result i is for keys[i].
   [[nodiscard]] std::vector<double> snr_receiver_db(
-      std::span<const Key64> keys);
-  [[nodiscard]] std::vector<double> snr_receiver_db(
-      std::span<const Key64> keys, double input_dbm);
+      std::span<const Key64> keys) {
+    return ev_->snr_receiver_db(keys, ev_->options().input_dbm, pool());
+  }
 
-  /// Batched LockEvaluator::snr_modulator_db.
+  /// LockEvaluator::snr_modulator_db per key.
   [[nodiscard]] std::vector<double> snr_modulator_db(
-      std::span<const Key64> keys);
-  [[nodiscard]] std::vector<double> snr_modulator_db(
-      std::span<const Key64> keys, double input_dbm);
+      std::span<const Key64> keys) {
+    return ev_->snr_modulator_db(keys, ev_->options().input_dbm, pool());
+  }
 
-  /// Batched LockEvaluator::sfdr_db.
-  [[nodiscard]] std::vector<double> sfdr_db(std::span<const Key64> keys);
-  [[nodiscard]] std::vector<double> sfdr_db(std::span<const Key64> keys,
-                                            double dbm_per_tone);
+  /// LockEvaluator::sfdr_db per key.
+  [[nodiscard]] std::vector<double> sfdr_db(std::span<const Key64> keys) {
+    return ev_->sfdr_db(keys, ev_->options().two_tone_dbm, pool());
+  }
 
-  /// Batched LockEvaluator::evaluate: result i corresponds to keys[i].
+  /// LockEvaluator::evaluate per key.
   [[nodiscard]] std::vector<PerformanceReport> evaluate_batch(
-      std::span<const Key64> keys);
+      std::span<const Key64> keys) {
+    return ev_->evaluate(keys, pool());
+  }
 
  private:
   [[nodiscard]] par::ThreadPool& pool() const {
     return pool_ != nullptr ? *pool_ : par::ThreadPool::shared();
   }
 
-  /// Decoded (and fault-perturbed, matching make_receiver) lane configs.
-  [[nodiscard]] std::vector<rf::ReceiverConfig> lane_configs(
-      std::span<const Key64> keys) const;
-
-  // Clean (pre-fault-injector) per-lane metric cores. Fault perturbation
-  // is replayed afterwards in scalar call order so the injector's RNG
-  // stream stays aligned with N scalar calls.
-  [[nodiscard]] std::vector<double> clean_snr_modulator(
-      std::span<const Key64> keys, double input_dbm);
-  [[nodiscard]] std::vector<double> clean_snr_receiver(
-      std::span<const Key64> keys, double input_dbm);
-  [[nodiscard]] std::vector<double> clean_sfdr(std::span<const Key64> keys,
-                                               double dbm_per_tone);
-
-  LockEvaluator* scalar_;
+  LockEvaluator* ev_;
   par::ThreadPool* pool_;
 };
 

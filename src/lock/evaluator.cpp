@@ -1,9 +1,22 @@
+// analock: bit_exact
 #include "lock/evaluator.h"
 
-#include "dsp/tonegen.h"
 #include "obs/trace.h"
+#include "rf/receiver_batch.h"
 
 namespace analock::lock {
+
+namespace {
+
+/// Pool for single-key calls: a batch of one runs inline on the caller.
+par::ThreadPool& inline_pool() {
+  static par::ThreadPool pool(1);
+  return pool;
+}
+
+std::span<const Key64> one(const Key64& key) { return {&key, 1}; }
+
+}  // namespace
 
 LockEvaluator::LockEvaluator(const rf::Standard& standard,
                              const sim::ProcessVariation& process,
@@ -13,14 +26,17 @@ LockEvaluator::LockEvaluator(const rf::Standard& standard,
       rng_(rng.fork("lock-evaluator")),
       options_(options) {}
 
-rf::Receiver LockEvaluator::make_receiver(const Key64& key) const {
-  rf::Receiver receiver(*standard_, process_, rng_);
-  // Stuck-at register bits corrupt the word between the key source and
-  // the fabric — the chip runs whatever the faulty register holds.
-  const Key64 applied =
-      injector_ != nullptr ? Key64{injector_->perturb_word(key.bits())} : key;
-  receiver.configure(decode_key(applied, standard_->digital_mode));
-  return receiver;
+std::vector<rf::ReceiverConfig> LockEvaluator::lane_configs(
+    std::span<const Key64> keys) const {
+  std::vector<rf::ReceiverConfig> configs;
+  configs.reserve(keys.size());
+  for (const Key64& key : keys) {
+    const Key64 applied =
+        injector_ != nullptr ? Key64{injector_->perturb_word(key.bits())}
+                             : key;
+    configs.push_back(decode_key(applied, standard_->digital_mode));
+  }
+  return configs;
 }
 
 double LockEvaluator::faulted(const char* site, double clean_db) const {
@@ -28,24 +44,154 @@ double LockEvaluator::faulted(const char* site, double clean_db) const {
   return injector_->perturb_measurement(site, clean_db);
 }
 
+std::vector<double> LockEvaluator::clean_snr_modulator(
+    std::span<const Key64> keys, double input_dbm,
+    par::ThreadPool& pool) const {
+  ANALOCK_SPAN("eval.snr_modulator");
+  rf::ReceiverBatch batch(*standard_, process_, rng_, lane_configs(keys));
+  const double offset = rf::default_tone_offset_hz(*standard_);
+  const auto rf_in = rf::make_test_tone(
+      *standard_, input_dbm, options_.settle + options_.fft_size, offset);
+  const auto captures = batch.capture_modulator(rf_in, options_.settle, pool);
+  const auto spectra = dsp::Periodogram::many_real(captures, keys.size(),
+                                                   standard_->fs_hz());
+  std::vector<double> out(keys.size());
+  for (std::size_t l = 0; l < keys.size(); ++l) {
+    out[l] = dsp::measure_snr_osr(spectra[l], standard_->f0_hz + offset,
+                                  standard_->fs_hz() / 4.0, standard_->osr)
+                 .snr_db;
+  }
+  return out;
+}
+
+std::vector<double> LockEvaluator::clean_snr_receiver(
+    std::span<const Key64> keys, double input_dbm,
+    par::ThreadPool& pool) const {
+  ANALOCK_SPAN("eval.snr_receiver");
+  // An empty baseband capture reads "locked hard".
+  if (options_.baseband_points == 0) {
+    return std::vector<double>(keys.size(), -200.0);
+  }
+  rf::ReceiverBatch batch(*standard_, process_, rng_, lane_configs(keys));
+  const double offset = rf::default_tone_offset_hz(*standard_);
+  const std::size_t n =
+      rf::receiver_input_length(options_.baseband_points, options_.settle);
+  const auto rf_in = rf::make_test_tone(*standard_, input_dbm, n, offset);
+  const auto baseband = batch.capture_receiver(
+      rf_in, options_.settle, options_.baseband_points,
+      /*settle_baseband=*/16, pool);
+  const auto spectra = dsp::Periodogram::many_complex(
+      baseband, keys.size(), batch.baseband_fs_hz());
+  const double half_band = standard_->fs_hz() / (4.0 * standard_->osr);
+  std::vector<double> out(keys.size());
+  for (std::size_t l = 0; l < keys.size(); ++l) {
+    out[l] = dsp::measure_snr(spectra[l], offset, -half_band, half_band)
+                 .snr_db;
+  }
+  return out;
+}
+
+std::vector<double> LockEvaluator::clean_sfdr(std::span<const Key64> keys,
+                                              double dbm_per_tone,
+                                              par::ThreadPool& pool) const {
+  ANALOCK_SPAN("eval.sfdr");
+  rf::ReceiverBatch batch(*standard_, process_, rng_, lane_configs(keys));
+  const double center =
+      standard_->f0_hz + rf::default_tone_offset_hz(*standard_);
+  const double spacing = options_.two_tone_spacing_hz;
+  const auto rf_in =
+      rf::make_two_tone(*standard_, dbm_per_tone,
+                        options_.settle + options_.sfdr_fft_size, spacing);
+  const auto captures = batch.capture_modulator(rf_in, options_.settle, pool);
+  const auto spectra = dsp::Periodogram::many_real(captures, keys.size(),
+                                                   standard_->fs_hz());
+  const double half_band = standard_->fs_hz() / (4.0 * standard_->osr);
+  const double f0 = standard_->fs_hz() / 4.0;
+  std::vector<double> out(keys.size());
+  for (std::size_t l = 0; l < keys.size(); ++l) {
+    // The paper reports fundamental-to-third-order distance.
+    out[l] = dsp::measure_sfdr_two_tone(spectra[l], center - spacing / 2.0,
+                                        center + spacing / 2.0,
+                                        f0 - half_band, f0 + half_band)
+                 .im3_db;
+  }
+  return out;
+}
+
+std::vector<double> LockEvaluator::snr_modulator_db(
+    std::span<const Key64> keys, double input_dbm, par::ThreadPool& pool) {
+  if (keys.empty()) return {};
+  const std::size_t n_lanes = keys.size();
+  trials_.snr_modulator += n_lanes;
+  obs::count("eval.trials.snr_mod", n_lanes);
+  auto values = clean_snr_modulator(keys, input_dbm, pool);
+  for (double& v : values) v = faulted("eval.snr_modulator", v);
+  return values;
+}
+
+std::vector<double> LockEvaluator::snr_receiver_db(
+    std::span<const Key64> keys, double input_dbm, par::ThreadPool& pool) {
+  if (keys.empty()) return {};
+  const std::size_t n_lanes = keys.size();
+  trials_.snr_receiver += n_lanes;
+  obs::count("eval.trials.snr_rx", n_lanes);
+  auto values = clean_snr_receiver(keys, input_dbm, pool);
+  // An empty capture is not a measurement the injector sees.
+  if (options_.baseband_points == 0) return values;
+  for (double& v : values) v = faulted("eval.snr_receiver", v);
+  return values;
+}
+
+std::vector<double> LockEvaluator::sfdr_db(std::span<const Key64> keys,
+                                           double dbm_per_tone,
+                                           par::ThreadPool& pool) {
+  if (keys.empty()) return {};
+  const std::size_t n_lanes = keys.size();
+  trials_.sfdr += n_lanes;
+  obs::count("eval.trials.sfdr", n_lanes);
+  auto values = clean_sfdr(keys, dbm_per_tone, pool);
+  for (double& v : values) v = faulted("eval.sfdr", v);
+  return values;
+}
+
+std::vector<PerformanceReport> LockEvaluator::evaluate(
+    std::span<const Key64> keys, par::ThreadPool& pool) {
+  if (keys.empty()) return {};
+  const std::size_t n_lanes = keys.size();
+  trials_.snr_modulator += n_lanes;
+  obs::count("eval.trials.snr_mod", n_lanes);
+  trials_.snr_receiver += n_lanes;
+  obs::count("eval.trials.snr_rx", n_lanes);
+  trials_.sfdr += n_lanes;
+  obs::count("eval.trials.sfdr", n_lanes);
+
+  const auto mod = clean_snr_modulator(keys, options_.input_dbm, pool);
+  const auto rx = clean_snr_receiver(keys, options_.input_dbm, pool);
+  const auto sfdr = clean_sfdr(keys, options_.two_tone_dbm, pool);
+
+  const rf::PerformanceSpec& spec = standard_->spec;
+  std::vector<PerformanceReport> reports(n_lanes);
+  // Fault replay in one-key call order: per key, modulator SNR then
+  // receiver SNR then SFDR.
+  for (std::size_t l = 0; l < n_lanes; ++l) {
+    PerformanceReport& report = reports[l];
+    report.snr_modulator_db = faulted("eval.snr_modulator", mod[l]);
+    report.snr_receiver_db = options_.baseband_points == 0
+                                 ? rx[l]
+                                 : faulted("eval.snr_receiver", rx[l]);
+    report.sfdr_db = faulted("eval.sfdr", sfdr[l]);
+    report.snr_ok = report.snr_receiver_db >= spec.min_snr_db;
+    report.sfdr_ok = report.sfdr_db >= spec.min_sfdr_db;
+  }
+  return reports;
+}
+
 double LockEvaluator::snr_modulator_db(const Key64& key) {
   return snr_modulator_db(key, options_.input_dbm);
 }
 
 double LockEvaluator::snr_modulator_db(const Key64& key, double input_dbm) {
-  ANALOCK_SPAN("eval.snr_modulator");
-  ++trials_.snr_modulator;
-  obs::count("eval.trials.snr_mod");
-  rf::Receiver receiver = make_receiver(key);
-  const double offset = rf::default_tone_offset_hz(*standard_);
-  const auto rf_in = rf::make_test_tone(
-      *standard_, input_dbm, options_.settle + options_.fft_size, offset);
-  const auto capture = receiver.capture_modulator(rf_in, options_.settle);
-  const dsp::Periodogram p(capture.output, standard_->fs_hz());
-  const auto snr = dsp::measure_snr_osr(p, standard_->f0_hz + offset,
-                                        standard_->fs_hz() / 4.0,
-                                        standard_->osr);
-  return faulted("eval.snr_modulator", snr.snr_db);
+  return snr_modulator_db(one(key), input_dbm, inline_pool())[0];
 }
 
 double LockEvaluator::snr_receiver_db(const Key64& key) {
@@ -53,23 +199,7 @@ double LockEvaluator::snr_receiver_db(const Key64& key) {
 }
 
 double LockEvaluator::snr_receiver_db(const Key64& key, double input_dbm) {
-  ANALOCK_SPAN("eval.snr_receiver");
-  ++trials_.snr_receiver;
-  obs::count("eval.trials.snr_rx");
-  rf::Receiver receiver = make_receiver(key);
-  const double offset = rf::default_tone_offset_hz(*standard_);
-  const std::size_t n =
-      rf::receiver_input_length(options_.baseband_points, options_.settle);
-  const auto rf_in = rf::make_test_tone(*standard_, input_dbm, n, offset);
-  auto capture = receiver.capture_receiver(rf_in, options_.settle);
-  // Trim the baseband capture to a power-of-two length for the FFT.
-  auto& bb = capture.baseband.samples;
-  if (bb.size() > options_.baseband_points) bb.resize(options_.baseband_points);
-  if (bb.size() < options_.baseband_points || bb.empty()) return -200.0;
-  const dsp::Periodogram p(bb, capture.baseband.fs_hz);
-  const double half_band = standard_->fs_hz() / (4.0 * standard_->osr);
-  const auto snr = dsp::measure_snr(p, offset, -half_band, half_band);
-  return faulted("eval.snr_receiver", snr.snr_db);
+  return snr_receiver_db(one(key), input_dbm, inline_pool())[0];
 }
 
 double LockEvaluator::sfdr_db(const Key64& key) {
@@ -77,36 +207,11 @@ double LockEvaluator::sfdr_db(const Key64& key) {
 }
 
 double LockEvaluator::sfdr_db(const Key64& key, double dbm_per_tone) {
-  ANALOCK_SPAN("eval.sfdr");
-  ++trials_.sfdr;
-  obs::count("eval.trials.sfdr");
-  rf::Receiver receiver = make_receiver(key);
-  const double center =
-      standard_->f0_hz + rf::default_tone_offset_hz(*standard_);
-  const double spacing = options_.two_tone_spacing_hz;
-  const auto rf_in =
-      rf::make_two_tone(*standard_, dbm_per_tone,
-                        options_.settle + options_.sfdr_fft_size, spacing);
-  const auto capture = receiver.capture_modulator(rf_in, options_.settle);
-  const dsp::Periodogram p(capture.output, standard_->fs_hz());
-  const double half_band = standard_->fs_hz() / (4.0 * standard_->osr);
-  const double f0 = standard_->fs_hz() / 4.0;
-  const auto sfdr = dsp::measure_sfdr_two_tone(
-      p, center - spacing / 2.0, center + spacing / 2.0, f0 - half_band,
-      f0 + half_band);
-  // The paper reports fundamental-to-third-order distance.
-  return faulted("eval.sfdr", sfdr.im3_db);
+  return sfdr_db(one(key), dbm_per_tone, inline_pool())[0];
 }
 
 PerformanceReport LockEvaluator::evaluate(const Key64& key) {
-  PerformanceReport report;
-  report.snr_modulator_db = snr_modulator_db(key);
-  report.snr_receiver_db = snr_receiver_db(key);
-  report.sfdr_db = sfdr_db(key);
-  const rf::PerformanceSpec& spec = standard_->spec;
-  report.snr_ok = report.snr_receiver_db >= spec.min_snr_db;
-  report.sfdr_ok = report.sfdr_db >= spec.min_sfdr_db;
-  return report;
+  return evaluate(one(key), inline_pool())[0];
 }
 
 bool LockEvaluator::unlocks(const Key64& key) {

@@ -8,14 +8,23 @@
 // noise streams are re-seeded per run, so calibration searches and tests
 // see a stable objective. The evaluator also counts trials, which the
 // attack cost model converts into projected silicon/simulation time.
+//
+// Each oracle has one implementation over a span of keys, stepped as
+// lanes of an rf::ReceiverBatch; a single-key call is a batch of one.
+// Every reading is independent of the batch size, the batch position and
+// the thread count, and trial counters and fault-injector draws advance
+// as if the keys were measured one call at a time.
 #pragma once
 
 #include <cstdint>
+#include <span>
+#include <vector>
 
 #include "dsp/spectrum.h"
 #include "fault/fault_injector.h"
 #include "lock/key64.h"
 #include "lock/key_layout.h"
+#include "par/thread_pool.h"
 #include "rf/receiver.h"
 #include "rf/standards.h"
 #include "sim/process.h"
@@ -81,6 +90,20 @@ class LockEvaluator {
   /// Cheap screen used by attacks: receiver-output SNR against spec only.
   bool unlocks(const Key64& key);
 
+  // Many-key forms of the oracles above: result i corresponds to keys[i]
+  // and equals the single-key call for keys[i]; lanes are sharded across
+  // `pool`. lock::BatchEvaluator binds the pool.
+  std::vector<double> snr_modulator_db(std::span<const Key64> keys,
+                                       double input_dbm,
+                                       par::ThreadPool& pool);
+  std::vector<double> snr_receiver_db(std::span<const Key64> keys,
+                                      double input_dbm,
+                                      par::ThreadPool& pool);
+  std::vector<double> sfdr_db(std::span<const Key64> keys,
+                              double dbm_per_tone, par::ThreadPool& pool);
+  std::vector<PerformanceReport> evaluate(std::span<const Key64> keys,
+                                          par::ThreadPool& pool);
+
   /// Per-metric measurement counts. The aggregate trials() below is
   /// always the sum of these, so the legacy total and the per-metric
   /// breakdown cannot disagree.
@@ -114,12 +137,21 @@ class LockEvaluator {
   }
 
  private:
-  /// The batched engine replays this evaluator's RNG fork chains and
-  /// fault-injector call order to stay bit-identical to the scalar path.
-  friend class BatchEvaluator;
+  /// Decoded lane configs; stuck-at register bits corrupt each word
+  /// between the key source and the fabric (perturb_word draws no RNG).
+  [[nodiscard]] std::vector<rf::ReceiverConfig> lane_configs(
+      std::span<const Key64> keys) const;
 
-  /// Builds a freshly-seeded receiver configured from `key`.
-  [[nodiscard]] rf::Receiver make_receiver(const Key64& key) const;
+  // Clean (pre-fault-injector) metric cores: capture, spectrum, metric.
+  [[nodiscard]] std::vector<double> clean_snr_modulator(
+      std::span<const Key64> keys, double input_dbm,
+      par::ThreadPool& pool) const;
+  [[nodiscard]] std::vector<double> clean_snr_receiver(
+      std::span<const Key64> keys, double input_dbm,
+      par::ThreadPool& pool) const;
+  [[nodiscard]] std::vector<double> clean_sfdr(std::span<const Key64> keys,
+                                               double dbm_per_tone,
+                                               par::ThreadPool& pool) const;
 
   /// Routes a clean reading through the injector, if any.
   [[nodiscard]] double faulted(const char* site, double clean_db) const;

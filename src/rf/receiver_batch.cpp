@@ -14,14 +14,93 @@ namespace {
 constexpr std::size_t kDelayDepth = FractionalDelayLine::kDepth;
 constexpr std::size_t kHbTaps = 23;
 constexpr std::size_t kChannelTaps = 31;
+constexpr std::size_t kCicStages = DigitalBackend::kCicStages;
+// Chunk window: keeps the pass-1 scratch (32 KiB) and the noise windows
+// (256 KiB) cache-resident while amortizing the per-window lane-state
+// copies.
+constexpr std::size_t kChunk = 4096;
 
 }  // namespace
 
-/// Shared raw unit-deviate arrays, one per named scalar noise stream.
-/// Lane values are formed as `0.0 + rms[lane] * g[i]`, the exact
+/// The named scalar noise streams, drawn one chunk window at a time into
+/// raw unit-deviate windows shared by every lane of a worker's range.
+/// Lane values are formed as `0.0 + rms[lane] * g[k]`, the exact
 /// expression GaussianNoise applies per draw.
-struct ReceiverBatch::NoiseStreams {
-  std::vector<double> vg, gm, pre, cmp, dac, buf, t1, t2;
+struct ReceiverBatch::NoiseWindows {
+  enum Stream : std::size_t { kVg, kGm, kPre, kCmp, kDac, kBuf, kT1, kT2, kN };
+
+  NoiseWindows(const sim::Rng& rng, bool gmin_used, bool buffer_used) {
+    // Same fork chains the scalar Receiver/BpSigmaDelta constructors walk.
+    const sim::Rng mod = rng.fork("receiver-modulator");
+    streams[kVg] = rng.fork("receiver-vglna").fork("vglna-noise");
+    streams[kGm] = mod.fork("sd-gmin").fork("gmin-noise");
+    streams[kPre] = mod.fork("sd-preamp").fork("preamp-noise");
+    streams[kCmp] = mod.fork("sd-comparator").fork("comparator-noise");
+    streams[kDac] = mod.fork("sd-dac").fork("dac-noise");
+    streams[kBuf] = mod.fork("sd-buffer").fork("buffer-noise");
+    streams[kT1] = mod.fork("sd-tank1");
+    streams[kT2] = mod.fork("sd-tank2");
+    for (bool& n : needed) n = true;
+    needed[kGm] = gmin_used;
+    needed[kBuf] = buffer_used;
+  }
+
+  sim::Rng streams[kN];
+  bool needed[kN];
+  std::vector<double> g = std::vector<double>(kN * kChunk);
+
+  [[nodiscard]] const double* window(Stream s) const {
+    return &g[s * kChunk];
+  }
+
+  /// Draws the next `m` deviates of every needed stream.
+  void draw(std::size_t m) {
+    for (std::size_t s = 0; s < kN; ++s) {
+      if (!needed[s]) continue;
+      sim::Rng& stream = streams[s];
+      double* dst = &g[s * kChunk];
+      for (std::size_t k = 0; k < m; ++k) dst[k] = stream.gaussian();
+    }
+  }
+};
+
+/// One lane's dynamic state, carried from chunk window to chunk window
+/// (a freshly built receiver is all zeros).
+struct ReceiverBatch::LaneState {
+  // Sigma-delta loop.
+  double r1s1 = 0.0, r1s2 = 0.0, r2s1 = 0.0, r2s2 = 0.0;
+  double u1 = 0.0, s11 = 0.0;
+  double u_hist = 0.0, s1_hist = 0.0;
+  double dbuf[kDelayDepth] = {};
+  std::size_t dpos = 0;
+  // Digital backend.
+  double slicer = -1.0;
+  unsigned mix_phase = 0;
+  std::size_t cic_phase = 0;
+  double ci_re[kCicStages] = {}, ci_im[kCicStages] = {};
+  double cb_re[kCicStages] = {}, cb_im[kCicStages] = {};
+  double h1_re[kHbTaps] = {}, h1_im[kHbTaps] = {};
+  double h2_re[kHbTaps] = {}, h2_im[kHbTaps] = {};
+  std::size_t h1_next = 0, h1_count = 0, h1_phase = 0;
+  std::size_t h2_next = 0, h2_count = 0, h2_phase = 0;
+  double ch_re[kChannelTaps] = {}, ch_im[kChannelTaps] = {};
+  std::size_t ch_pos = 0;
+  std::size_t produced = 0;
+  bool done = false;  ///< every requested baseband sample is written
+};
+
+/// One capture request: the stimulus and where each lane's output goes.
+struct ReceiverBatch::Transient {
+  std::span<const double> rf;
+  std::size_t settle = 0;
+  /// False: write post-settle modulator outputs into `mod_out`
+  /// (lane-major, rf.size() - settle per lane). True: run the digital
+  /// backend and write `baseband_points` samples per lane into `bb_out`.
+  bool run_backend = false;
+  std::size_t baseband_points = 0;
+  std::size_t settle_baseband = 0;
+  std::span<double> mod_out;
+  std::span<std::complex<double>> bb_out;
 };
 
 ReceiverBatch::ReceiverBatch(const Standard& standard,
@@ -111,83 +190,50 @@ ReceiverBatch::ReceiverBatch(const Standard& standard,
   channel_taps_ = DigitalBackend::channel_taps_for_mode(digital_mode_);
 }
 
-void ReceiverBatch::generate_noise(std::size_t n, NoiseStreams& noise,
-                                   par::ThreadPool& pool) const {
-  ANALOCK_SPAN_QUIET("rf.batch.noise");
-  // Same fork chains the scalar Receiver/BpSigmaDelta constructors walk.
-  const sim::Rng mod_rng = rng_.fork("receiver-modulator");
-  struct Job {
-    sim::Rng rng;
-    std::vector<double>* dst;
-    bool needed;
-  };
-  const Job jobs[] = {
-      {rng_.fork("receiver-vglna").fork("vglna-noise"), &noise.vg, true},
-      {mod_rng.fork("sd-gmin").fork("gmin-noise"), &noise.gm, any_gmin_},
-      {mod_rng.fork("sd-preamp").fork("preamp-noise"), &noise.pre, true},
-      {mod_rng.fork("sd-comparator").fork("comparator-noise"), &noise.cmp,
-       true},
-      {mod_rng.fork("sd-dac").fork("dac-noise"), &noise.dac, true},
-      {mod_rng.fork("sd-buffer").fork("buffer-noise"), &noise.buf,
-       any_buffer_},
-      {mod_rng.fork("sd-tank1"), &noise.t1, true},
-      {mod_rng.fork("sd-tank2"), &noise.t2, true},
-  };
-  constexpr std::size_t kJobs = sizeof(jobs) / sizeof(jobs[0]);
-  pool.parallel_for(kJobs, [&](std::size_t begin, std::size_t end) {
-    for (std::size_t s = begin; s < end; ++s) {
-      if (!jobs[s].needed) continue;
-      sim::Rng stream = jobs[s].rng;
-      std::vector<double>& dst = *jobs[s].dst;
-      dst.resize(n);
-      for (std::size_t i = 0; i < n; ++i) dst[i] = stream.gaussian();
-    }
+void ReceiverBatch::run(const Transient& t, par::ThreadPool& pool) const {
+  pool.parallel_for(lanes_, [&](std::size_t begin, std::size_t end) {
+    run_lanes(begin, end, t);
   });
 }
 
 // analock: thread_safe parallel_region
 void ReceiverBatch::run_lanes(std::size_t begin, std::size_t end,
-                              std::span<const double> rf, std::size_t settle,
-                              const NoiseStreams& noise, bool run_backend,
-                              std::size_t baseband_points,
-                              std::size_t settle_baseband,
-                              std::span<double> mod_out,
-                              std::span<std::complex<double>> bb_out) const {
-  // Lane-outer, sample-inner: every per-lane constant is hoisted into a
-  // register, every flag-dependent branch is loop-invariant, and all
-  // dynamic state (resonators, delay ring, decimation chain) lives in
-  // L1-resident locals. The shared cost (noise streams, stimulus, FFT
-  // plans) was paid once by the caller; per lane only the arithmetic the
-  // scalar chain would do remains, minus its ~8 RNG draws per sample.
+                              const Transient& t) const {
+  // Chunk-outer, lane-inner: each window of the shared noise streams is
+  // drawn once, then every lane of [begin, end) steps through it. Per
+  // lane, every constant is hoisted into a register, every
+  // flag-dependent branch is loop-invariant, and the dynamic state is
+  // copied into a local for the window and written back after it. The
+  // shared cost (noise, stimulus, FFT plans) is paid once per worker;
+  // per lane only the arithmetic the scalar chain would do remains,
+  // minus its ~8 RNG draws per sample.
   //
-  // Each chunk runs in two passes. The VGLNA cascade and transconductor
-  // have no state, so pass 1 evaluates them for a whole chunk of
+  // Each window runs in two passes. The VGLNA cascade and transconductor
+  // have no state, so pass 1 evaluates them for the whole window of
   // independent samples — the out-of-order core overlaps their long
   // multiply chains across iterations instead of serializing them into
   // the resonator recurrence. Pass 2 consumes the buffered loop signal
   // and advances the stateful chain. Per-sample expression order is
   // unchanged, so the split is bit-exact.
-  const std::size_t n = rf.size();
+  const std::size_t n = t.rf.size();
+  const std::size_t settle = t.settle;
   const std::size_t n_mod = n > settle ? n - settle : 0;
-  const double* rf_p = rf.data();
-  const double* nvg_p = noise.vg.data();
-  const double* ngm_p = noise.gm.empty() ? nullptr : noise.gm.data();
-  const double* nt1_p = noise.t1.data();
-  const double* nt2_p = noise.t2.data();
-  const double* npre_p = noise.pre.data();
-  const double* ncmp_p = noise.cmp.data();
-  const double* ndac_p = noise.dac.data();
-  const double* nbuf_p = noise.buf.empty() ? nullptr : noise.buf.data();
+  NoiseWindows noise(rng_, any_gmin_, any_buffer_);
+  const double* nvg_p = noise.window(NoiseWindows::kVg);
+  const double* ngm_p = noise.window(NoiseWindows::kGm);
+  const double* nt1_p = noise.window(NoiseWindows::kT1);
+  const double* nt2_p = noise.window(NoiseWindows::kT2);
+  const double* npre_p = noise.window(NoiseWindows::kPre);
+  const double* ncmp_p = noise.window(NoiseWindows::kCmp);
+  const double* ndac_p = noise.window(NoiseWindows::kDac);
+  const double* nbuf_p = noise.window(NoiseWindows::kBuf);
+  std::vector<LaneState> states(end - begin);
+  double u_buf[kChunk];
 
-  // Chunk size keeps the pass-1 scratch (32 KiB) and both passes' noise
-  // windows L1/L2-resident while amortizing the loop-switch overhead.
-  constexpr std::size_t kChunk = 4096;
-  std::vector<double> u_buf(kChunk);
-
-  const std::size_t bb_needed = settle_baseband + baseband_points;
+  const std::size_t bb_needed = t.settle_baseband + t.baseband_points;
   // CIC normalization: replicate the scalar gain accumulation exactly.
   double cic_gain = 1.0;
-  for (std::size_t s = 0; s < DigitalBackend::kCicStages; ++s) {
+  for (std::size_t c = 0; c < kCicStages; ++c) {
     cic_gain *= static_cast<double>(DigitalBackend::kCicFactor);
   }
   const double cic_inv_gain = 1.0 / cic_gain;
@@ -195,82 +241,67 @@ void ReceiverBatch::run_lanes(std::size_t begin, std::size_t end,
   const double* ch_taps = channel_taps_.data();
   const std::size_t n_ch_taps = channel_taps_.size();
 
-  for (std::size_t l = begin; l < end; ++l) {
-    // ---- per-lane constants -> registers ----------------------------
-    const Vglna::Stage st = vg_stage_[l];
-    const double vg_rms = vg_rms_[l];
-    const bool gmin_en = gmin_en_[l] != 0;
-    const double gm_eff = gm_eff_[l];
-    const double gm_iip3 = gm_iip3_[l];
-    const double gm_rms = gm_rms_[l];
-    const bool fb_en = fb_en_[l] != 0;
-    const double cos1 = cos1_[l], rad1 = rad1_[l];
-    const double cos2 = cos2_[l], rad2 = rad2_[l];
-    const double pre_gain = pre_gain_[l], pre_rms = pre_rms_[l];
-    const double cmp_off = cmp_off_[l], cmp_rms = cmp_rms_[l];
-    const bool cmp_clk = cmp_clk_[l] != 0;
-    const double dac_lp = dac_lp_[l], dac_lm = dac_lm_[l];
-    const double dac_rms = dac_rms_[l];
-    const std::size_t dly_whole = dly_whole_[l];
-    const double dly_frac = dly_frac_[l];
-    const std::uint8_t mux = mux_[l];
-    const bool buf_in = buf_in_[l] != 0;
-    const double buf_gain = buf_gain_[l], buf_rms = buf_rms_[l];
-    // The comparator's analog (unclocked) value only reaches the output
-    // when the test mux selects it; otherwise downstream code consumes
-    // nothing but sign(yq), and tanh is odd and monotone with
-    // tanh(0) == 0, so the sign of its argument stands in bit-exactly.
-    const bool cmp_value_used = mux == 0;
-    // A disabled transconductor pins the loop signal to zero, which makes
-    // the whole VGLNA cascade dead code for this lane.
-    if (!gmin_en) std::fill(u_buf.begin(), u_buf.end(), 0.0);
+  bool all_done = false;
+  for (std::size_t base = 0; base < n && !all_done; base += kChunk) {
+    const std::size_t m = std::min(kChunk, n - base);
+    const double* rf_p = t.rf.data() + base;
+    noise.draw(m);
+    // Modulator captures run to the end of the stimulus; receiver
+    // captures stop once every lane has written its baseband output.
+    all_done = t.run_backend;
+    for (std::size_t l = begin; l < end; ++l) {
+      LaneState s = states[l - begin];
+      if (s.done) continue;
 
-    // ---- per-lane dynamic state (fresh receiver == all zeros) -------
-    double r1s1 = 0.0, r1s2 = 0.0, r2s1 = 0.0, r2s2 = 0.0;
-    double u1 = 0.0, s11 = 0.0;
-    double u_hist = 0.0, s1_hist = 0.0;
-    double dbuf[kDelayDepth] = {};
-    std::size_t dpos = 0;
+      // ---- per-lane constants -> registers ----------------------------
+      const Vglna::Stage st = vg_stage_[l];
+      const double vg_rms = vg_rms_[l];
+      const bool gmin_en = gmin_en_[l] != 0;
+      const double gm_eff = gm_eff_[l];
+      const double gm_iip3 = gm_iip3_[l];
+      const double gm_rms = gm_rms_[l];
+      const bool fb_en = fb_en_[l] != 0;
+      const double cos1 = cos1_[l], rad1 = rad1_[l];
+      const double cos2 = cos2_[l], rad2 = rad2_[l];
+      const double pre_gain = pre_gain_[l], pre_rms = pre_rms_[l];
+      const double cmp_off = cmp_off_[l], cmp_rms = cmp_rms_[l];
+      const bool cmp_clk = cmp_clk_[l] != 0;
+      const double dac_lp = dac_lp_[l], dac_lm = dac_lm_[l];
+      const double dac_rms = dac_rms_[l];
+      const std::size_t dly_whole = dly_whole_[l];
+      const double dly_frac = dly_frac_[l];
+      const std::uint8_t mux = mux_[l];
+      const bool buf_in = buf_in_[l] != 0;
+      const double buf_gain = buf_gain_[l], buf_rms = buf_rms_[l];
+      // The comparator's analog (unclocked) value only reaches the output
+      // when the test mux selects it; otherwise downstream code consumes
+      // nothing but sign(yq), and tanh is odd and monotone with
+      // tanh(0) == 0, so the sign of its argument stands in bit-exactly.
+      const bool cmp_value_used = mux == 0;
 
-    double slicer = -1.0;
-    unsigned mix_phase = 0;
-    std::size_t cic_phase = 0;
-    double ci_re[DigitalBackend::kCicStages] = {};
-    double ci_im[DigitalBackend::kCicStages] = {};
-    double cb_re[DigitalBackend::kCicStages] = {};
-    double cb_im[DigitalBackend::kCicStages] = {};
-    double h1_re[kHbTaps] = {}, h1_im[kHbTaps] = {};
-    double h2_re[kHbTaps] = {}, h2_im[kHbTaps] = {};
-    std::size_t h1_next = 0, h1_count = 0, h1_phase = 0;
-    std::size_t h2_next = 0, h2_count = 0, h2_phase = 0;
-    double ch_re[kChannelTaps] = {}, ch_im[kChannelTaps] = {};
-    std::size_t ch_pos = 0;
-    std::size_t produced = 0;
-    bool lane_done = false;
+      double* mod_lane = t.run_backend ? nullptr : &t.mod_out[l * n_mod];
+      std::complex<double>* bb_lane =
+          t.run_backend ? &t.bb_out[l * t.baseband_points] : nullptr;
 
-    double* mod_lane = run_backend ? nullptr : &mod_out[l * n_mod];
-    std::complex<double>* bb_lane =
-        run_backend ? &bb_out[l * baseband_points] : nullptr;
-
-    for (std::size_t base = 0; base < n && !lane_done; base += kChunk) {
-      const std::size_t m = std::min(kChunk, n - base);
-
-      // ---- pass 1: stateless front end (VGLNA + transconductor) -----
+      // ---- pass 1: stateless front end (VGLNA + transconductor) -------
+      // A disabled transconductor pins the loop signal to zero, which
+      // makes the whole VGLNA cascade dead code for this lane.
       if (gmin_en) {
         for (std::size_t k = 0; k < m; ++k) {
-          const std::size_t i = base + k;
-          double y = rf_p[i] + (0.0 + vg_rms * nvg_p[i]);
+          double y = rf_p[k] + (0.0 + vg_rms * nvg_p[k]);
           y = st.process(y);
           y = st.process(y);
           y = st.process(y);
           y = st.process(y);
           y = st.process(y);
-          u_buf[k] = gm_eff * cubic_soft(y, gm_iip3) +
-                     (0.0 + gm_rms * ngm_p[i]);
+          u_buf[k] =
+              gm_eff * cubic_soft(y, gm_iip3) + (0.0 + gm_rms * ngm_p[k]);
         }
+      } else {
+        std::fill(u_buf, u_buf + m, 0.0);
       }
 
-      // ---- pass 2: stateful loop + digital backend ------------------
+      // ---- pass 2: stateful loop + digital backend --------------------
       for (std::size_t k = 0; k < m; ++k) {
         const std::size_t i = base + k;
         const double u = u_buf[k];
@@ -279,30 +310,30 @@ void ReceiverBatch::run_lanes(std::size_t begin, std::size_t end,
         double fb = 0.0;
         if (fb_en) {
           const std::size_t i0 =
-              (dpos + kDelayDepth - dly_whole) % kDelayDepth;
+              (s.dpos + kDelayDepth - dly_whole) % kDelayDepth;
           const std::size_t i1 =
-              (dpos + kDelayDepth - dly_whole - 1) % kDelayDepth;
-          fb = (1.0 - dly_frac) * dbuf[i0] + dly_frac * dbuf[i1];
+              (s.dpos + kDelayDepth - dly_whole - 1) % kDelayDepth;
+          fb = (1.0 - dly_frac) * s.dbuf[i0] + dly_frac * s.dbuf[i1];
         }
 
         const double s1 = Resonator::advance(
-            r1s1, r1s2, cos1, rad1,
-            -(u_hist - fb) +
-                (0.0 + BpSigmaDelta::kTankNoiseRms * nt1_p[i]));
+            s.r1s1, s.r1s2, cos1, rad1,
+            -(s.u_hist - fb) +
+                (0.0 + BpSigmaDelta::kTankNoiseRms * nt1_p[k]));
         const double s2 = Resonator::advance(
-            r2s1, r2s2, cos2, rad2,
-            -(s1_hist - 2.0 * fb) +
-                (0.0 + BpSigmaDelta::kTankNoiseRms * nt2_p[i]));
-        u_hist = u1;
-        u1 = u;
-        s1_hist = s11;
-        s11 = s1;
+            s.r2s1, s.r2s2, cos2, rad2,
+            -(s.s1_hist - 2.0 * fb) +
+                (0.0 + BpSigmaDelta::kTankNoiseRms * nt2_p[k]));
+        s.u_hist = s.u1;
+        s.u1 = u;
+        s.s1_hist = s.s11;
+        s.s11 = s1;
 
         // Quantizer path.
         const double pre =
-            std::clamp(pre_gain * s2 + (0.0 + pre_rms * npre_p[i]),
+            std::clamp(pre_gain * s2 + (0.0 + pre_rms * npre_p[k]),
                        -PreAmplifier::kRail, PreAmplifier::kRail);
-        const double v = pre + cmp_off + (0.0 + cmp_rms * ncmp_p[i]);
+        const double v = pre + cmp_off + (0.0 + cmp_rms * ncmp_p[k]);
         double yq;
         if (cmp_clk) {
           yq = v >= 0.0 ? 1.0 : -1.0;
@@ -314,9 +345,9 @@ void ReceiverBatch::run_lanes(std::size_t begin, std::size_t end,
 
         // DAC drives the delay line whether or not the loop is closed.
         const double fbv =
-            (yq >= 0.0 ? dac_lp : dac_lm) + (0.0 + dac_rms * ndac_p[i]);
-        dpos = (dpos + 1) % kDelayDepth;
-        dbuf[dpos] = fbv;
+            (yq >= 0.0 ? dac_lp : dac_lm) + (0.0 + dac_rms * ndac_p[k]);
+        s.dpos = (s.dpos + 1) % kDelayDepth;
+        s.dbuf[s.dpos] = fbv;
 
         double out = yq;
         switch (mux) {
@@ -333,128 +364,129 @@ void ReceiverBatch::run_lanes(std::size_t begin, std::size_t end,
             break;
         }
         if (buf_in) {
-          out = std::clamp(buf_gain * out + (0.0 + buf_rms * nbuf_p[i]),
+          out = std::clamp(buf_gain * out + (0.0 + buf_rms * nbuf_p[k]),
                            -OutputBuffer::kRail, OutputBuffer::kRail);
         }
 
-        if (!run_backend) {
+        if (!t.run_backend) {
           if (i >= settle) mod_lane[i - settle] = out;
           continue;
         }
         if (i < settle) continue;
 
-        // ---- digital backend (this lane) ----------------------------
+        // ---- digital backend (this lane) ------------------------------
         // Schmitt slicer.
         if (out > DigitalBackend::kLogicVih) {
-          slicer = 1.0;
+          s.slicer = 1.0;
         } else if (out < DigitalBackend::kLogicVil) {
-          slicer = -1.0;
+          s.slicer = -1.0;
         }
-        // fs/4 mixer: the LO samples are exact, one component is
-        // always 0.
+        // fs/4 mixer: the LO samples are exact, one component is always 0.
         double acc_re, acc_im;
-        switch (mix_phase) {
+        switch (s.mix_phase) {
           case 0:
-            acc_re = slicer;
+            acc_re = s.slicer;
             acc_im = 0.0;
             break;
           case 1:
             acc_re = 0.0;
-            acc_im = -slicer;
+            acc_im = -s.slicer;
             break;
           case 2:
-            acc_re = -slicer;
+            acc_re = -s.slicer;
             acc_im = 0.0;
             break;
           default:
             acc_re = 0.0;
-            acc_im = slicer;
+            acc_im = s.slicer;
             break;
         }
-        mix_phase = (mix_phase + 1) & 3u;
+        s.mix_phase = (s.mix_phase + 1) & 3u;
 
         // CIC integrators run every sample.
-        for (std::size_t s = 0; s < DigitalBackend::kCicStages; ++s) {
-          ci_re[s] += acc_re;
-          acc_re = ci_re[s];
-          ci_im[s] += acc_im;
-          acc_im = ci_im[s];
+        for (std::size_t c = 0; c < kCicStages; ++c) {
+          s.ci_re[c] += acc_re;
+          acc_re = s.ci_re[c];
+          s.ci_im[c] += acc_im;
+          acc_im = s.ci_im[c];
         }
-        if (++cic_phase < DigitalBackend::kCicFactor) continue;
-        cic_phase = 0;
-        for (std::size_t s = 0; s < DigitalBackend::kCicStages; ++s) {
-          const double prev_r = cb_re[s];
-          cb_re[s] = acc_re;
+        if (++s.cic_phase < DigitalBackend::kCicFactor) continue;
+        s.cic_phase = 0;
+        for (std::size_t c = 0; c < kCicStages; ++c) {
+          const double prev_r = s.cb_re[c];
+          s.cb_re[c] = acc_re;
           acc_re = acc_re - prev_r;
-          const double prev_i = cb_im[s];
-          cb_im[s] = acc_im;
+          const double prev_i = s.cb_im[c];
+          s.cb_im[c] = acc_im;
           acc_im = acc_im - prev_i;
         }
         acc_re *= cic_inv_gain;
         acc_im *= cic_inv_gain;
 
-        // Half-band stage 1: history advances on every CIC output, the
-        // dot product fires every second one (DecimatingFir semantics,
+        // Half-band stage 1: history advances on every CIC output, the dot
+        // product fires every second one (DecimatingFir semantics,
         // including the shorter dot while the history fills).
-        h1_re[h1_next] = acc_re;
-        h1_im[h1_next] = acc_im;
-        const std::size_t h1_newest = h1_next;
-        h1_next = (h1_next + 1) % kHbTaps;
-        if (h1_count < kHbTaps) ++h1_count;
-        if (++h1_phase < 2) continue;
-        h1_phase = 0;
+        s.h1_re[s.h1_next] = acc_re;
+        s.h1_im[s.h1_next] = acc_im;
+        const std::size_t h1_newest = s.h1_next;
+        s.h1_next = (s.h1_next + 1) % kHbTaps;
+        if (s.h1_count < kHbTaps) ++s.h1_count;
+        if (++s.h1_phase < 2) continue;
+        s.h1_phase = 0;
         acc_re = 0.0;
         acc_im = 0.0;
         {
           std::size_t slot = h1_newest;
-          for (std::size_t t = 0; t < h1_count; ++t) {
-            acc_re += h1_re[slot] * hb[t];
-            acc_im += h1_im[slot] * hb[t];
+          for (std::size_t tap = 0; tap < s.h1_count; ++tap) {
+            acc_re += s.h1_re[slot] * hb[tap];
+            acc_im += s.h1_im[slot] * hb[tap];
             slot = slot == 0 ? kHbTaps - 1 : slot - 1;
           }
         }
 
         // Half-band stage 2.
-        h2_re[h2_next] = acc_re;
-        h2_im[h2_next] = acc_im;
-        const std::size_t h2_newest = h2_next;
-        h2_next = (h2_next + 1) % kHbTaps;
-        if (h2_count < kHbTaps) ++h2_count;
-        if (++h2_phase < 2) continue;
-        h2_phase = 0;
+        s.h2_re[s.h2_next] = acc_re;
+        s.h2_im[s.h2_next] = acc_im;
+        const std::size_t h2_newest = s.h2_next;
+        s.h2_next = (s.h2_next + 1) % kHbTaps;
+        if (s.h2_count < kHbTaps) ++s.h2_count;
+        if (++s.h2_phase < 2) continue;
+        s.h2_phase = 0;
         acc_re = 0.0;
         acc_im = 0.0;
         {
           std::size_t slot = h2_newest;
-          for (std::size_t t = 0; t < h2_count; ++t) {
-            acc_re += h2_re[slot] * hb[t];
-            acc_im += h2_im[slot] * hb[t];
+          for (std::size_t tap = 0; tap < s.h2_count; ++tap) {
+            acc_re += s.h2_re[slot] * hb[tap];
+            acc_im += s.h2_im[slot] * hb[tap];
             slot = slot == 0 ? kHbTaps - 1 : slot - 1;
           }
         }
 
         // Channel FIR (fixed-length circular history, zero-filled).
-        ch_re[ch_pos] = acc_re;
-        ch_im[ch_pos] = acc_im;
+        s.ch_re[s.ch_pos] = acc_re;
+        s.ch_im[s.ch_pos] = acc_im;
         double out_re = 0.0, out_im = 0.0;
-        std::size_t idx = ch_pos;
-        for (std::size_t t = 0; t < n_ch_taps; ++t) {
-          out_re += ch_re[idx] * ch_taps[t];
-          out_im += ch_im[idx] * ch_taps[t];
+        std::size_t idx = s.ch_pos;
+        for (std::size_t tap = 0; tap < n_ch_taps; ++tap) {
+          out_re += s.ch_re[idx] * ch_taps[tap];
+          out_im += s.ch_im[idx] * ch_taps[tap];
           idx = idx == 0 ? kChannelTaps - 1 : idx - 1;
         }
-        ch_pos = (ch_pos + 1) % kChannelTaps;
+        s.ch_pos = (s.ch_pos + 1) % kChannelTaps;
 
-        if (produced >= settle_baseband &&
-            produced - settle_baseband < baseband_points) {
-          bb_lane[produced - settle_baseband] = {out_re, out_im};
+        if (s.produced >= t.settle_baseband &&
+            s.produced - t.settle_baseband < t.baseband_points) {
+          bb_lane[s.produced - t.settle_baseband] = {out_re, out_im};
         }
-        ++produced;
-        if (produced >= bb_needed) {
-          lane_done = true;
+        ++s.produced;
+        if (s.produced >= bb_needed) {
+          s.done = true;
           break;
         }
       }
+      states[l - begin] = s;
+      all_done = all_done && s.done;
     }
   }
 }
@@ -463,14 +495,12 @@ std::vector<double> ReceiverBatch::capture_modulator(
     std::span<const double> rf, std::size_t settle, par::ThreadPool& pool) {
   ANALOCK_SPAN_QUIET("rf.batch.capture_modulator");
   assert(rf.size() > settle);
-  const std::size_t n_mod = rf.size() - settle;
-  NoiseStreams noise;
-  generate_noise(rf.size(), noise, pool);
-  std::vector<double> out(lanes_ * n_mod);
-  pool.parallel_for(lanes_, [&](std::size_t begin, std::size_t end) {
-    run_lanes(begin, end, rf, settle, noise, /*run_backend=*/false, 0, 0,
-              out, {});
-  });
+  std::vector<double> out(lanes_ * (rf.size() - settle));
+  Transient t;
+  t.rf = rf;
+  t.settle = settle;
+  t.mod_out = out;
+  run(t, pool);
   return out;
 }
 
@@ -481,13 +511,15 @@ std::vector<std::complex<double>> ReceiverBatch::capture_receiver(
   ANALOCK_SPAN_QUIET("rf.batch.capture_receiver");
   assert(rf.size() >=
          receiver_input_length(baseband_points, settle, settle_baseband));
-  NoiseStreams noise;
-  generate_noise(rf.size(), noise, pool);
   std::vector<std::complex<double>> out(lanes_ * baseband_points);
-  pool.parallel_for(lanes_, [&](std::size_t begin, std::size_t end) {
-    run_lanes(begin, end, rf, settle, noise, /*run_backend=*/true,
-              baseband_points, settle_baseband, {}, out);
-  });
+  Transient t;
+  t.rf = rf;
+  t.settle = settle;
+  t.run_backend = true;
+  t.baseband_points = baseband_points;
+  t.settle_baseband = settle_baseband;
+  t.bb_out = out;
+  run(t, pool);
   return out;
 }
 

@@ -9,10 +9,13 @@
 //   1. `sim::Rng::fork` is const and depends only on the parent's seed
 //      material, so every scalar receiver built from the same evaluator
 //      RNG replays identical noise streams regardless of the key. The
-//      batch therefore precomputes each named stream (VGLNA, Gmin,
-//      tanks, preamp, comparator, DAC, buffer) once as raw unit
-//      deviates and scales per lane by that lane's configured RMS with
-//      the same `0.0 + rms * g` expression `sim::GaussianNoise` uses.
+//      batch therefore draws each named stream (VGLNA, Gmin, tanks,
+//      preamp, comparator, DAC, buffer) one chunk window at a time, as
+//      raw unit deviates into windows shared by every lane of a worker's
+//      range, and scales per lane by that lane's configured RMS
+//      with the same `0.0 + rms * g` expression `sim::GaussianNoise`
+//      uses. Working memory is fixed by the window size, not by the
+//      transient length.
 //   2. Every per-lane constant (gains, DAC levels, pole parameters,
 //      noise RMS values) is harvested from a probe scalar `Receiver`
 //      configured per lane — the config->parameter maps are never
@@ -21,9 +24,12 @@
 //      blocks call (`Vglna::Stage::process`, `cubic_soft`,
 //      `Resonator::advance`, `soft_rail`), applied in the same order.
 //
-// Work is sharded across a fixed thread pool by LANES (each worker runs
-// its contiguous lane range through the whole transient), so results
-// are independent of the thread count by construction.
+// Lanes are sharded across a fixed thread pool in contiguous ranges, and
+// each worker steps its range chunk-outer, lane-inner: it draws one
+// window of the noise streams, then advances each of its lanes through
+// it, carrying each lane's dynamic state from window to window in its
+// own struct. Results are independent of the thread count by
+// construction.
 #pragma once
 
 #include <complex>
@@ -71,23 +77,17 @@ class ReceiverBatch {
       par::ThreadPool& pool);
 
  private:
-  struct NoiseStreams;
+  struct NoiseWindows;
+  struct LaneState;
+  struct Transient;
 
-  /// Fills the shared raw-deviate arrays for an `n`-sample transient.
-  void generate_noise(std::size_t n, NoiseStreams& noise,
-                      par::ThreadPool& pool) const;
+  /// Shards the lanes across `pool` and steps each shard through `t`.
+  void run(const Transient& t, par::ThreadPool& pool) const;
 
-  /// Advances lanes [begin, end) through the whole transient. When
-  /// `run_backend` is false, writes post-settle modulator outputs into
-  /// `mod_out` (lane-major, n - settle per lane); otherwise runs the
-  /// digital backend and writes `baseband_points` baseband samples per
-  /// lane into `bb_out`.
+  /// Steps lanes [begin, end) through `t` one chunk window at a time,
+  /// stopping once every lane has produced its baseband output.
   void run_lanes(std::size_t begin, std::size_t end,
-                 std::span<const double> rf, std::size_t settle,
-                 const NoiseStreams& noise, bool run_backend,
-                 std::size_t baseband_points, std::size_t settle_baseband,
-                 std::span<double> mod_out,
-                 std::span<std::complex<double>> bb_out) const;
+                 const Transient& t) const;
 
   const Standard* standard_;
   sim::Rng rng_;

@@ -1,6 +1,7 @@
-// Bit-exactness and infrastructure tests for the batched evaluation
-// engine: FFT plans, the thread pool, batched periodograms, and
-// BatchEvaluator parity against the scalar LockEvaluator.
+// Bit-exactness and infrastructure tests for the evaluation engine: FFT
+// plans, the thread pool, batched periodograms, and the LockEvaluator
+// oracles (one-key calls and BatchEvaluator batches alike) against a
+// reference built directly on the scalar rf::Receiver.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -16,6 +17,8 @@
 #include "lock/evaluator.h"
 #include "lock/key_layout.h"
 #include "par/thread_pool.h"
+#include "rf/receiver.h"
+#include "rf/receiver_batch.h"
 #include "rf/standards.h"
 #include "sim/process.h"
 #include "sim/rng.h"
@@ -169,8 +172,112 @@ TEST(Periodogram, ManyComplexMatchesPerLane) {
 }
 
 // ---------------------------------------------------------------------
-// BatchEvaluator parity
+// Oracle parity against the scalar reference
 // ---------------------------------------------------------------------
+
+/// The one-key oracle bodies built directly on the scalar rf::Receiver:
+/// a freshly seeded receiver per measurement, its capture, a
+/// Periodogram, the metric, then the fault injector. LockEvaluator steps
+/// its keys as rf::ReceiverBatch lanes instead, and must reproduce these
+/// readings bit for bit.
+class ReferenceOracle {
+ public:
+  ReferenceOracle(const rf::Standard& standard,
+                  const sim::ProcessVariation& process,
+                  const sim::Rng& chip_rng, lock::EvaluatorOptions options,
+                  fault::FaultInjector* injector = nullptr)
+      : standard_(&standard),
+        process_(process),
+        rng_(chip_rng.fork("lock-evaluator")),
+        options_(options),
+        injector_(injector) {}
+
+  double snr_modulator_db(const Key64& key) {
+    return snr_modulator_db(key, options_.input_dbm);
+  }
+  double snr_modulator_db(const Key64& key, double input_dbm) {
+    rf::Receiver receiver = make_receiver(key);
+    const double offset = rf::default_tone_offset_hz(*standard_);
+    const auto rf_in = rf::make_test_tone(
+        *standard_, input_dbm, options_.settle + options_.fft_size, offset);
+    const auto capture = receiver.capture_modulator(rf_in, options_.settle);
+    const dsp::Periodogram p(capture.output, standard_->fs_hz());
+    const auto snr = dsp::measure_snr_osr(p, standard_->f0_hz + offset,
+                                          standard_->fs_hz() / 4.0,
+                                          standard_->osr);
+    return faulted("eval.snr_modulator", snr.snr_db);
+  }
+
+  double snr_receiver_db(const Key64& key) {
+    return snr_receiver_db(key, options_.input_dbm);
+  }
+  double snr_receiver_db(const Key64& key, double input_dbm) {
+    rf::Receiver receiver = make_receiver(key);
+    const double offset = rf::default_tone_offset_hz(*standard_);
+    const std::size_t n =
+        rf::receiver_input_length(options_.baseband_points, options_.settle);
+    const auto rf_in = rf::make_test_tone(*standard_, input_dbm, n, offset);
+    auto capture = receiver.capture_receiver(rf_in, options_.settle);
+    auto& bb = capture.baseband.samples;
+    if (bb.size() > options_.baseband_points) {
+      bb.resize(options_.baseband_points);
+    }
+    if (bb.size() < options_.baseband_points || bb.empty()) return -200.0;
+    const dsp::Periodogram p(bb, capture.baseband.fs_hz);
+    const double half_band = standard_->fs_hz() / (4.0 * standard_->osr);
+    const auto snr = dsp::measure_snr(p, offset, -half_band, half_band);
+    return faulted("eval.snr_receiver", snr.snr_db);
+  }
+
+  double sfdr_db(const Key64& key) {
+    rf::Receiver receiver = make_receiver(key);
+    const double center =
+        standard_->f0_hz + rf::default_tone_offset_hz(*standard_);
+    const double spacing = options_.two_tone_spacing_hz;
+    const auto rf_in = rf::make_two_tone(
+        *standard_, options_.two_tone_dbm,
+        options_.settle + options_.sfdr_fft_size, spacing);
+    const auto capture = receiver.capture_modulator(rf_in, options_.settle);
+    const dsp::Periodogram p(capture.output, standard_->fs_hz());
+    const double half_band = standard_->fs_hz() / (4.0 * standard_->osr);
+    const double f0 = standard_->fs_hz() / 4.0;
+    const auto sfdr = dsp::measure_sfdr_two_tone(
+        p, center - spacing / 2.0, center + spacing / 2.0, f0 - half_band,
+        f0 + half_band);
+    return faulted("eval.sfdr", sfdr.im3_db);
+  }
+
+  lock::PerformanceReport evaluate(const Key64& key) {
+    lock::PerformanceReport report;
+    report.snr_modulator_db = snr_modulator_db(key);
+    report.snr_receiver_db = snr_receiver_db(key);
+    report.sfdr_db = sfdr_db(key);
+    report.snr_ok = report.snr_receiver_db >= standard_->spec.min_snr_db;
+    report.sfdr_ok = report.sfdr_db >= standard_->spec.min_sfdr_db;
+    return report;
+  }
+
+ private:
+  rf::Receiver make_receiver(const Key64& key) {
+    rf::Receiver receiver(*standard_, process_, rng_);
+    const Key64 applied =
+        injector_ != nullptr ? Key64{injector_->perturb_word(key.bits())}
+                             : key;
+    receiver.configure(lock::decode_key(applied, standard_->digital_mode));
+    return receiver;
+  }
+
+  double faulted(const char* site, double clean_db) {
+    if (injector_ == nullptr) return clean_db;
+    return injector_->perturb_measurement(site, clean_db);
+  }
+
+  const rf::Standard* standard_;
+  sim::ProcessVariation process_;
+  sim::Rng rng_;
+  lock::EvaluatorOptions options_;
+  fault::FaultInjector* injector_;
+};
 
 /// Shortened captures keep the parity sweeps fast; one test below runs
 /// the full default lengths.
@@ -202,26 +309,32 @@ std::vector<Key64> test_keys(std::uint64_t seed, std::size_t n_random) {
   return keys;
 }
 
+void expect_reports_equal(const lock::PerformanceReport& ref,
+                          const lock::PerformanceReport& got,
+                          std::size_t i) {
+  EXPECT_EQ(ref.snr_modulator_db, got.snr_modulator_db) << i;
+  EXPECT_EQ(ref.snr_receiver_db, got.snr_receiver_db) << i;
+  EXPECT_EQ(ref.sfdr_db, got.sfdr_db) << i;
+  EXPECT_EQ(ref.snr_ok, got.snr_ok) << i;
+  EXPECT_EQ(ref.sfdr_ok, got.sfdr_ok) << i;
+}
+
 TEST(BatchEvaluator, EvaluateMatchesScalarBitExactly) {
   const auto keys = test_keys(101, 3);
   sim::Rng chip_rng(404);
   const auto pv = sim::ProcessVariation::monte_carlo(chip_rng, 1);
+  const rf::Standard& standard = rf::standard_max_3ghz();
 
-  LockEvaluator scalar(rf::standard_max_3ghz(), pv, chip_rng.fork("chip"),
-                       fast_options());
-  LockEvaluator wrapped(rf::standard_max_3ghz(), pv, chip_rng.fork("chip"),
-                        fast_options());
-  BatchEvaluator batch(wrapped);
+  ReferenceOracle ref(standard, pv, chip_rng.fork("chip"), fast_options());
+  LockEvaluator ev(standard, pv, chip_rng.fork("chip"), fast_options());
+  BatchEvaluator batch(ev);
 
   const auto reports = batch.evaluate_batch(keys);
   ASSERT_EQ(reports.size(), keys.size());
   for (std::size_t i = 0; i < keys.size(); ++i) {
-    const auto ref = scalar.evaluate(keys[i]);
-    EXPECT_EQ(ref.snr_modulator_db, reports[i].snr_modulator_db) << i;
-    EXPECT_EQ(ref.snr_receiver_db, reports[i].snr_receiver_db) << i;
-    EXPECT_EQ(ref.sfdr_db, reports[i].sfdr_db) << i;
-    EXPECT_EQ(ref.snr_ok, reports[i].snr_ok) << i;
-    EXPECT_EQ(ref.sfdr_ok, reports[i].sfdr_ok) << i;
+    const auto expected = ref.evaluate(keys[i]);
+    expect_reports_equal(expected, reports[i], i);
+    expect_reports_equal(expected, ev.evaluate(keys[i]), i);
   }
 }
 
@@ -233,18 +346,20 @@ TEST(BatchEvaluator, MatchesScalarAcrossCornersAndStandards) {
     sim::Rng chip_rng(1000 + static_cast<std::uint64_t>(corner));
     const auto pv = sim::ProcessVariation::monte_carlo(chip_rng, corner);
     for (const rf::Standard* standard : standards) {
-      LockEvaluator scalar(*standard, pv, chip_rng.fork("chip"),
-                           fast_options());
-      LockEvaluator wrapped(*standard, pv, chip_rng.fork("chip"),
-                            fast_options());
-      BatchEvaluator batch(wrapped);
+      ReferenceOracle ref(*standard, pv, chip_rng.fork("chip"),
+                          fast_options());
+      LockEvaluator ev(*standard, pv, chip_rng.fork("chip"), fast_options());
+      BatchEvaluator batch(ev);
       const auto rx = batch.snr_receiver_db(keys);
       const auto mod = batch.snr_modulator_db(keys);
+      const auto sfdr = batch.sfdr_db(keys);
       ASSERT_EQ(rx.size(), keys.size());
       for (std::size_t i = 0; i < keys.size(); ++i) {
-        EXPECT_EQ(scalar.snr_receiver_db(keys[i]), rx[i])
+        EXPECT_EQ(ref.snr_receiver_db(keys[i]), rx[i])
             << standard->name << " corner " << corner << " key " << i;
-        EXPECT_EQ(scalar.snr_modulator_db(keys[i]), mod[i])
+        EXPECT_EQ(ref.snr_modulator_db(keys[i]), mod[i])
+            << standard->name << " corner " << corner << " key " << i;
+        EXPECT_EQ(ref.sfdr_db(keys[i]), sfdr[i])
             << standard->name << " corner " << corner << " key " << i;
       }
     }
@@ -252,31 +367,127 @@ TEST(BatchEvaluator, MatchesScalarAcrossCornersAndStandards) {
 }
 
 TEST(BatchEvaluator, DefaultOptionsMatchScalar) {
-  // Full paper-length captures (8192-pt FFT, 2048 baseband points).
+  // Full paper-length captures (8192-pt FFT, 2048 baseband points), and
+  // an off-reference input power through the one-key overloads.
   const auto keys = test_keys(303, 0);
   const std::span<const Key64> two(keys.data(), 2);
   sim::Rng chip_rng(42);
   const auto pv = sim::ProcessVariation::monte_carlo(chip_rng, 0);
-  LockEvaluator scalar(rf::standard_max_3ghz(), pv, chip_rng.fork("chip"));
-  LockEvaluator wrapped(rf::standard_max_3ghz(), pv, chip_rng.fork("chip"));
-  BatchEvaluator batch(wrapped);
+  const rf::Standard& standard = rf::standard_max_3ghz();
+  ReferenceOracle ref(standard, pv, chip_rng.fork("chip"), {});
+  LockEvaluator ev(standard, pv, chip_rng.fork("chip"));
+  BatchEvaluator batch(ev);
   const auto rx = batch.snr_receiver_db(two);
   for (std::size_t i = 0; i < two.size(); ++i) {
-    EXPECT_EQ(scalar.snr_receiver_db(two[i]), rx[i]) << i;
+    EXPECT_EQ(ref.snr_receiver_db(two[i]), rx[i]) << i;
   }
+  EXPECT_EQ(ref.snr_receiver_db(keys[1], -40.0),
+            ev.snr_receiver_db(keys[1], -40.0));
+  EXPECT_EQ(ref.snr_modulator_db(keys[1], -40.0),
+            ev.snr_modulator_db(keys[1], -40.0));
+}
+
+TEST(BatchEvaluator, TransientsOffTheChunkGridMatchScalar) {
+  // The batch steps its lanes in 4096-sample windows; these settle and
+  // capture lengths put every transient's end on, just past, or short of
+  // a window edge.
+  struct Lengths {
+    std::size_t settle, fft, sfdr_fft, baseband;
+  };
+  const Lengths cases[] = {
+      {3072, 1024, 2048, 64},   // modulator transient exactly one window
+      {1000, 8192, 4096, 128},  // 9192 / 5096 / 10280 samples
+      {1, 512, 1024, 32},       // shorter than one window
+  };
+  const auto keys = test_keys(808, 1);
+  sim::Rng chip_rng(2024);
+  const auto pv = sim::ProcessVariation::monte_carlo(chip_rng, 0);
+  const rf::Standard& standard = rf::standard_max_3ghz();
+  for (const Lengths& len : cases) {
+    lock::EvaluatorOptions opt;
+    opt.settle = len.settle;
+    opt.fft_size = len.fft;
+    opt.sfdr_fft_size = len.sfdr_fft;
+    opt.baseband_points = len.baseband;
+    ReferenceOracle ref(standard, pv, chip_rng.fork("chip"), opt);
+    LockEvaluator ev(standard, pv, chip_rng.fork("chip"), opt);
+    BatchEvaluator batch(ev);
+    const auto reports = batch.evaluate_batch(keys);
+    for (std::size_t i = 0; i < keys.size(); ++i) {
+      SCOPED_TRACE(testing::Message() << "settle " << len.settle);
+      expect_reports_equal(ref.evaluate(keys[i]), reports[i], i);
+    }
+  }
+}
+
+TEST(BatchEvaluator, ReceiverEarlyExitMatchesScalar) {
+  // A stimulus several windows longer than the baseband capture needs:
+  // each lane stops once its last baseband sample is written, and the
+  // batch stops stepping once every lane has.
+  sim::Rng chip_rng(99);
+  const auto pv = sim::ProcessVariation::monte_carlo(chip_rng, 0);
+  const rf::Standard& standard = rf::standard_max_3ghz();
+  const sim::Rng rng = chip_rng.fork("receiver");
+  const std::size_t settle = 300, points = 64, settle_bb = 16;
+  const std::size_t n = rf::receiver_input_length(points, settle, settle_bb);
+  const auto rf_in = rf::make_test_tone(standard, -25.0, n + 10000);
+  std::vector<rf::ReceiverConfig> configs;
+  for (const Key64& key : test_keys(909, 2)) {
+    configs.push_back(lock::decode_key(key, standard.digital_mode));
+  }
+  rf::ReceiverBatch batch(standard, pv, rng, configs);
+  par::ThreadPool pool(2);
+  const auto bb = batch.capture_receiver(rf_in, settle, points, settle_bb,
+                                         pool);
+  ASSERT_EQ(bb.size(), configs.size() * points);
+  for (std::size_t l = 0; l < configs.size(); ++l) {
+    rf::Receiver receiver(standard, pv, rng);
+    receiver.configure(configs[l]);
+    const auto capture = receiver.capture_receiver(rf_in, settle, settle_bb);
+    ASSERT_GE(capture.baseband.samples.size(), points);
+    for (std::size_t k = 0; k < points; ++k) {
+      EXPECT_EQ(capture.baseband.samples[k], bb[l * points + k])
+          << "lane " << l << " sample " << k;
+    }
+  }
+
+  // An empty baseband capture exits before any metrology: it reads
+  // "locked hard", is still charged as a trial, and never reaches the
+  // injector.
+  fault::FaultPlan plan;
+  plan.seed = 5;
+  plan.meas_spike_prob = 1.0;
+  fault::FaultInjector ref_injector(plan);
+  fault::FaultInjector injector(plan);
+  lock::EvaluatorOptions opt = fast_options();
+  opt.baseband_points = 0;
+  ReferenceOracle ref(standard, pv, chip_rng.fork("chip"), opt,
+                      &ref_injector);
+  LockEvaluator ev(standard, pv, chip_rng.fork("chip"), opt);
+  ev.set_fault_injector(&injector);
+  const auto keys = test_keys(910, 0);
+  const auto rx = BatchEvaluator(ev).snr_receiver_db(keys);
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    EXPECT_EQ(ref.snr_receiver_db(keys[i]), rx[i]) << i;
+    EXPECT_EQ(rx[i], -200.0) << i;
+  }
+  EXPECT_EQ(ev.snr_receiver_db(keys[0]), -200.0);
+  EXPECT_EQ(ev.trial_counts().snr_receiver, keys.size() + 1);
+  EXPECT_EQ(injector.counts().meas_spikes, 0u);
+  EXPECT_EQ(ref_injector.counts().meas_spikes, 0u);
 }
 
 TEST(BatchEvaluator, ResultsIndependentOfThreadCount) {
   const auto keys = test_keys(505, 4);
   sim::Rng chip_rng(77);
   const auto pv = sim::ProcessVariation::monte_carlo(chip_rng, 0);
+  const rf::Standard& standard = rf::standard_max_3ghz();
 
   par::ThreadPool pool1(1);
   par::ThreadPool pool3(3);
-  LockEvaluator ev1(rf::standard_max_3ghz(), pv, chip_rng.fork("chip"),
-                    fast_options());
-  LockEvaluator ev3(rf::standard_max_3ghz(), pv, chip_rng.fork("chip"),
-                    fast_options());
+  ReferenceOracle ref(standard, pv, chip_rng.fork("chip"), fast_options());
+  LockEvaluator ev1(standard, pv, chip_rng.fork("chip"), fast_options());
+  LockEvaluator ev3(standard, pv, chip_rng.fork("chip"), fast_options());
   BatchEvaluator batch1(ev1, &pool1);
   BatchEvaluator batch3(ev3, &pool3);
 
@@ -284,16 +495,17 @@ TEST(BatchEvaluator, ResultsIndependentOfThreadCount) {
   const auto b = batch3.evaluate_batch(keys);
   ASSERT_EQ(a.size(), b.size());
   for (std::size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(a[i].snr_modulator_db, b[i].snr_modulator_db) << i;
-    EXPECT_EQ(a[i].snr_receiver_db, b[i].snr_receiver_db) << i;
-    EXPECT_EQ(a[i].sfdr_db, b[i].sfdr_db) << i;
+    const auto expected = ref.evaluate(keys[i]);
+    expect_reports_equal(expected, a[i], i);
+    expect_reports_equal(expected, b[i], i);
   }
 }
 
 TEST(BatchEvaluator, FaultInjectorParity) {
-  // An active injector perturbs every oracle reading; the batch must
-  // replay the perturbation stream in scalar call order so values AND
-  // injected-fault tallies match N scalar calls.
+  // An active injector perturbs every oracle reading and sticks register
+  // bits. N one-key calls and one N-key call must both replay the
+  // reference's perturbation stream: same readings, same injected-fault
+  // tallies, same trial counts.
   fault::FaultPlan plan;
   plan.seed = 99;
   plan.meas_spike_prob = 0.4;
@@ -304,51 +516,72 @@ TEST(BatchEvaluator, FaultInjectorParity) {
   const auto keys = test_keys(606, 3);
   sim::Rng chip_rng(314);
   const auto pv = sim::ProcessVariation::monte_carlo(chip_rng, 0);
+  const rf::Standard& standard = rf::standard_max_3ghz();
 
-  fault::FaultInjector scalar_injector(plan);
+  fault::FaultInjector ref_injector(plan);
+  fault::FaultInjector one_injector(plan);
   fault::FaultInjector batch_injector(plan);
-  LockEvaluator scalar(rf::standard_max_3ghz(), pv, chip_rng.fork("chip"),
-                       fast_options());
-  LockEvaluator wrapped(rf::standard_max_3ghz(), pv, chip_rng.fork("chip"),
-                        fast_options());
-  scalar.set_fault_injector(&scalar_injector);
-  wrapped.set_fault_injector(&batch_injector);
-  BatchEvaluator batch(wrapped);
+  ReferenceOracle ref(standard, pv, chip_rng.fork("chip"), fast_options(),
+                      &ref_injector);
+  LockEvaluator one(standard, pv, chip_rng.fork("chip"), fast_options());
+  LockEvaluator many(standard, pv, chip_rng.fork("chip"), fast_options());
+  one.set_fault_injector(&one_injector);
+  many.set_fault_injector(&batch_injector);
+  BatchEvaluator batch(many);
 
   const auto reports = batch.evaluate_batch(keys);
+  const auto rx = batch.snr_receiver_db(keys);
   for (std::size_t i = 0; i < keys.size(); ++i) {
-    const auto ref = scalar.evaluate(keys[i]);
-    EXPECT_EQ(ref.snr_modulator_db, reports[i].snr_modulator_db) << i;
-    EXPECT_EQ(ref.snr_receiver_db, reports[i].snr_receiver_db) << i;
-    EXPECT_EQ(ref.sfdr_db, reports[i].sfdr_db) << i;
+    const auto expected = ref.evaluate(keys[i]);
+    expect_reports_equal(expected, one.evaluate(keys[i]), i);
+    expect_reports_equal(expected, reports[i], i);
   }
-  EXPECT_EQ(scalar_injector.counts().meas_spikes,
-            batch_injector.counts().meas_spikes);
-  EXPECT_EQ(scalar_injector.counts().meas_dropouts,
-            batch_injector.counts().meas_dropouts);
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    const double expected = ref.snr_receiver_db(keys[i]);
+    EXPECT_EQ(expected, one.snr_receiver_db(keys[i])) << i;
+    EXPECT_EQ(expected, rx[i]) << i;
+  }
+  for (const fault::FaultInjector* injector : {&one_injector,
+                                               &batch_injector}) {
+    EXPECT_EQ(ref_injector.counts().meas_spikes,
+              injector->counts().meas_spikes);
+    EXPECT_EQ(ref_injector.counts().meas_dropouts,
+              injector->counts().meas_dropouts);
+    EXPECT_EQ(ref_injector.counts().words_stuck,
+              injector->counts().words_stuck);
+  }
+  EXPECT_GT(ref_injector.counts().meas_spikes, 0u);
+  EXPECT_EQ(one.trial_counts().snr_modulator,
+            many.trial_counts().snr_modulator);
+  EXPECT_EQ(one.trial_counts().snr_receiver,
+            many.trial_counts().snr_receiver);
+  EXPECT_EQ(one.trial_counts().sfdr, many.trial_counts().sfdr);
 }
 
 TEST(BatchEvaluator, TrialCountsMatchScalar) {
   const auto keys = test_keys(707, 2);
   sim::Rng chip_rng(55);
   const auto pv = sim::ProcessVariation::monte_carlo(chip_rng, 0);
-  LockEvaluator scalar(rf::standard_max_3ghz(), pv, chip_rng.fork("chip"),
-                       fast_options());
-  LockEvaluator wrapped(rf::standard_max_3ghz(), pv, chip_rng.fork("chip"),
-                        fast_options());
-  BatchEvaluator batch(wrapped);
+  LockEvaluator one(rf::standard_max_3ghz(), pv, chip_rng.fork("chip"),
+                    fast_options());
+  LockEvaluator many(rf::standard_max_3ghz(), pv, chip_rng.fork("chip"),
+                     fast_options());
+  BatchEvaluator batch(many);
 
-  for (const Key64& key : keys) (void)scalar.evaluate(key);
+  for (const Key64& key : keys) (void)one.evaluate(key);
   (void)batch.evaluate_batch(keys);
-  EXPECT_EQ(scalar.trial_counts().snr_modulator,
-            wrapped.trial_counts().snr_modulator);
-  EXPECT_EQ(scalar.trial_counts().snr_receiver,
-            wrapped.trial_counts().snr_receiver);
-  EXPECT_EQ(scalar.trial_counts().sfdr, wrapped.trial_counts().sfdr);
-  EXPECT_EQ(scalar.trials(), wrapped.trials());
+  EXPECT_EQ(one.trial_counts().snr_modulator, keys.size());
+  EXPECT_EQ(one.trial_counts().snr_modulator,
+            many.trial_counts().snr_modulator);
+  EXPECT_EQ(one.trial_counts().snr_receiver,
+            many.trial_counts().snr_receiver);
+  EXPECT_EQ(one.trial_counts().sfdr, many.trial_counts().sfdr);
+  EXPECT_EQ(one.trials(), many.trials());
 
   (void)batch.snr_receiver_db(keys);
-  EXPECT_EQ(wrapped.trial_counts().snr_receiver, 2 * keys.size());
+  EXPECT_EQ(many.trial_counts().snr_receiver, 2 * keys.size());
+  EXPECT_TRUE(batch.snr_receiver_db({}).empty());
+  EXPECT_EQ(many.trial_counts().snr_receiver, 2 * keys.size());
 }
 
 }  // namespace

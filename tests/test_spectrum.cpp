@@ -138,6 +138,22 @@ TEST(MeasureSnr, BuriedSignalReportsNotFound) {
   EXPECT_LT(snr.snr_db, 0.0);
 }
 
+TEST(MeasureSnr, SubFloorRatioClampsToLockedHardFloor) {
+  // A vanishing tone next to a strong in-band one: the located signal
+  // power is positive but more than 200 dB below the in-band noise.
+  const double fs = 1.0e6;
+  const std::size_t n = 8192;
+  const double f_sig = 100.0 * fs / 8192.0;
+  auto x = sine(f_sig, fs, 1e-12, n);
+  const auto blocker = sine(3000.0 * fs / 8192.0, fs, 1.0, n);
+  for (std::size_t i = 0; i < n; ++i) x[i] += blocker[i];
+  const Periodogram p(x, fs);
+  const auto snr = measure_snr(p, f_sig, 0.0, fs / 2.0);
+  ASSERT_GT(snr.signal_power, 0.0);
+  ASSERT_LT(snr.signal_power / snr.noise_power, 1e-20);
+  EXPECT_EQ(snr.snr_db, -200.0);
+}
+
 TEST(MeasureSnrOsr, MatchesManualBand) {
   analock::sim::Rng rng(8);
   const double fs = 12.0e9;

@@ -95,18 +95,21 @@ def classify(old_med, old_mad, new_med, new_mad, threshold_pct):
     return "ok", delta_pct, noise
 
 
-def speedup_pairs(cases):
-    """Finds (bench, stem, scalar_case, variant_name, variant_case) rows.
+ONE_KEY_SUFFIX = "_one_key_calls"
 
-    A pair is any `<stem>_scalar` case with a `<stem>_batch_*` sibling in
-    the same bench (the convention bench_batch_eval uses); the ratio of
-    their wall-clock medians is the batched-engine speedup.
+
+def speedup_pairs(cases):
+    """Finds (bench, stem, one_key_case, variant_name, variant_case) rows.
+
+    A pair is any `<stem>_one_key_calls` case with a `<stem>_batch_*`
+    sibling in the same bench (the convention bench_batch_eval uses); the
+    ratio of their wall-clock medians is the batched-engine speedup.
     """
     pairs = []
     for (bench, name), case in sorted(cases.items()):
-        if not isinstance(name, str) or not name.endswith("_scalar"):
+        if not isinstance(name, str) or not name.endswith(ONE_KEY_SUFFIX):
             continue
-        stem = name[: -len("_scalar")]
+        stem = name[: -len(ONE_KEY_SUFFIX)]
         for (other_bench, other_name), other in sorted(cases.items()):
             if other_bench != bench or not isinstance(other_name, str):
                 continue
@@ -116,16 +119,16 @@ def speedup_pairs(cases):
 
 
 def print_speedups(base, cand):
-    """Prints scalar-vs-batch speedup ratios for both artifact sets."""
+    """Prints one-key-vs-batch speedup ratios for both artifact sets."""
     rows = []
-    for bench, stem, scalar_case, variant, variant_case in speedup_pairs(cand):
-        new_ratio = (scalar_case["wall_ms"]["median"] /
+    for bench, stem, one_case, variant, variant_case in speedup_pairs(cand):
+        new_ratio = (one_case["wall_ms"]["median"] /
                      variant_case["wall_ms"]["median"])
         old_ratio = None
-        base_scalar = base.get((bench, stem + "_scalar"))
+        base_one = base.get((bench, stem + ONE_KEY_SUFFIX))
         base_variant = base.get((bench, variant))
-        if base_scalar is not None and base_variant is not None:
-            old_ratio = (base_scalar["wall_ms"]["median"] /
+        if base_one is not None and base_variant is not None:
+            old_ratio = (base_one["wall_ms"]["median"] /
                          base_variant["wall_ms"]["median"])
         rows.append((f"{bench}:{stem}", variant,
                      "-" if old_ratio is None else f"{old_ratio:.2f}x",
@@ -138,7 +141,7 @@ def print_speedups(base, cand):
     def line(cells):
         return "| " + " | ".join(
             c.ljust(widths[i]) for i, c in enumerate(cells)) + " |"
-    print("\nscalar-vs-batch speedup (wall-clock median ratio):")
+    print("\none-key-vs-batch speedup (wall-clock median ratio):")
     print(line(headers))
     print("|" + "|".join("-" * (w + 2) for w in widths) + "|")
     for row in rows:
