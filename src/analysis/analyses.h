@@ -1,6 +1,7 @@
-// The three analysis passes of analock-verify. Each takes the parsed
-// files (plus the cross-TU call graph where relevant) and appends
-// findings; the engine owns suppression, fingerprints, and ordering.
+// The analysis passes of analock-verify. Each takes the parsed files
+// (plus the cross-TU call graph where relevant; the token rules take one
+// source) and appends findings; the engine owns suppression,
+// fingerprints, and ordering.
 #pragma once
 
 #include <string_view>
@@ -74,8 +75,27 @@ void run_ct_flow_analysis(const std::vector<ParsedFile>& files,
                           const CallGraph& graph, int max_depth,
                           std::vector<Finding>& out);
 
+/// Per-file token rules with no dataflow: ambient clock reads
+/// (determinism-clock), early-exit ==/!= on key material
+/// (secret-compare), literal shift overflow (shift-overflow),
+/// value-unsafe FP modes (build-hygiene), and the ambient forms of
+/// rng-source. CMake files get build-hygiene only.
+void run_token_rules(const SourceFile& source, std::vector<Finding>& out);
+
 /// True when `identifier` names key/PUF material by the repo's naming
-/// convention (the taint oracle). Exposed for tests.
+/// convention (the shared secret oracle of taint, ct-flow and
+/// secret-compare).
 [[nodiscard]] bool is_secret_identifier(std::string_view identifier);
+
+/// True when `text` calls a raw-key accessor: .bits( / ->bits( /
+/// .to_hex( / ->to_hex(.
+[[nodiscard]] bool has_secret_accessor(std::string_view text);
+
+/// True for the std <random> engine type names (mt19937, ...).
+[[nodiscard]] bool is_std_engine_name(std::string_view name);
+
+/// True when a seed or engine expression derives from the seeded
+/// sim::Rng streams (it mentions rng, Rng, fork, or seed).
+[[nodiscard]] bool seed_is_sim_derived(std::string_view expr);
 
 }  // namespace analock::analysis

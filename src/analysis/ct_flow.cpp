@@ -58,66 +58,6 @@ namespace analock::analysis {
 
 namespace {
 
-bool contains_word(std::string_view text, std::string_view word) {
-  std::size_t pos = 0;
-  while ((pos = text.find(word, pos)) != std::string_view::npos) {
-    const bool left_ok =
-        pos == 0 || (std::isalnum(static_cast<unsigned char>(
-                         text[pos - 1])) == 0 &&
-                     text[pos - 1] != '_');
-    const std::size_t end = pos + word.size();
-    const bool right_ok =
-        end >= text.size() ||
-        (std::isalnum(static_cast<unsigned char>(text[end])) == 0 &&
-         text[end] != '_');
-    if (left_ok && right_ok) return true;
-    pos += 1;
-  }
-  return false;
-}
-
-/// Splits `text` into identifier runs and applies `fn` to each.
-template <typename Fn>
-void for_each_identifier(std::string_view text, Fn fn) {
-  std::size_t i = 0;
-  const std::size_t n = text.size();
-  while (i < n) {
-    const char c = text[i];
-    if (std::isalpha(static_cast<unsigned char>(c)) != 0 || c == '_') {
-      std::size_t j = i + 1;
-      while (j < n && (std::isalnum(static_cast<unsigned char>(
-                           text[j])) != 0 ||
-                       text[j] == '_')) {
-        ++j;
-      }
-      if (!fn(text.substr(i, j - i))) return;
-      i = j;
-    } else {
-      ++i;
-    }
-  }
-}
-
-bool has_secret_accessor(std::string_view text) {
-  for (const std::string_view acc : {"bits", "to_hex"}) {
-    std::size_t pos = 0;
-    while ((pos = text.find(acc, pos)) != std::string_view::npos) {
-      const std::size_t end = pos + acc.size();
-      const bool deref =
-          (pos >= 1 && text[pos - 1] == '.') ||
-          (pos >= 2 && text[pos - 2] == '-' && text[pos - 1] == '>');
-      std::size_t k = end;
-      while (k < text.size() &&
-             std::isspace(static_cast<unsigned char>(text[k])) != 0) {
-        ++k;
-      }
-      if (deref && k < text.size() && text[k] == '(') return true;
-      pos = end;
-    }
-  }
-  return false;
-}
-
 /// True for member-call names that collide with the std:: vocabulary
 /// (atomic load/store, smart-pointer get, optional value, ...). Such
 /// calls are opaque to cross-TU name resolution: `enabled_.load()` must

@@ -10,8 +10,9 @@
 // rng-source: every stochastic element must derive from the seeded
 // sim::Rng streams. A std <random> engine default-constructed or seeded
 // from anything that does not mention a sim::Rng draw (rng/fork/seed)
-// is ambient entropy in disguise.
-#include <cctype>
+// is ambient entropy in disguise. The ambient forms that need no
+// declaration (random_device, rand, time(nullptr), engine temporaries,
+// shuffle/sample engines) are the token pass's (token_rules.cpp).
 #include <set>
 #include <string>
 
@@ -26,7 +27,7 @@ const char* const kUnorderedTypes[] = {
     "unordered_multiset",
 };
 
-const char* const kStdEngines[] = {
+constexpr std::string_view kStdEngines[] = {
     "mt19937",     "mt19937_64",    "minstd_rand", "minstd_rand0",
     "default_random_engine",        "knuth_b",     "ranlux24",
     "ranlux48",    "ranlux24_base", "ranlux48_base",
@@ -46,49 +47,25 @@ bool type_is_float(const std::string& type) {
 
 bool type_is_std_engine(const std::string& type) {
   if (type.find("sim::Rng") != std::string::npos) return false;
-  for (const char* e : kStdEngines) {
-    const std::size_t pos = type.find(e);
-    if (pos == std::string::npos) continue;
-    const std::size_t end = pos + std::string(e).size();
-    const bool left_ok =
-        pos == 0 || (std::isalnum(static_cast<unsigned char>(
-                         type[pos - 1])) == 0 &&
-                     type[pos - 1] != '_');
-    const bool right_ok =
-        end >= type.size() ||
-        (std::isalnum(static_cast<unsigned char>(type[end])) == 0 &&
-         type[end] != '_');
-    if (left_ok && right_ok) return true;
+  for (const std::string_view e : kStdEngines) {
+    if (contains_word(type, e)) return true;
   }
   return false;
-}
-
-bool contains_word(const std::string& text, const std::string& word) {
-  std::size_t pos = 0;
-  while ((pos = text.find(word, pos)) != std::string::npos) {
-    const bool left_ok =
-        pos == 0 || (std::isalnum(static_cast<unsigned char>(
-                         text[pos - 1])) == 0 &&
-                     text[pos - 1] != '_');
-    const std::size_t end = pos + word.size();
-    const bool right_ok =
-        end >= text.size() ||
-        (std::isalnum(static_cast<unsigned char>(text[end])) == 0 &&
-         text[end] != '_');
-    if (left_ok && right_ok) return true;
-    ++pos;
-  }
-  return false;
-}
-
-/// Seed expressions derived from the simulation's seeded streams.
-bool seed_is_sim_derived(const std::string& init) {
-  return contains_word(init, "rng") || init.find("Rng") != std::string::npos ||
-         init.find("fork") != std::string::npos ||
-         contains_word(init, "seed");
 }
 
 }  // namespace
+
+bool is_std_engine_name(std::string_view name) {
+  for (const std::string_view e : kStdEngines) {
+    if (name == e) return true;
+  }
+  return false;
+}
+
+bool seed_is_sim_derived(std::string_view expr) {
+  return contains_word(expr, "rng") || expr.find("Rng") != std::string::npos ||
+         expr.find("fork") != std::string::npos || contains_word(expr, "seed");
+}
 
 void run_determinism_analysis(const std::vector<ParsedFile>& files,
                               std::vector<Finding>& out) {

@@ -55,7 +55,8 @@ void Engine::add_source(std::string path, std::string text) {
   auto source = std::make_unique<SourceFile>();
   source->path = std::move(path);
   source->text = std::move(text);
-  source->stripped = strip_source(source->text);
+  source->stripped = is_cmake_path(source->path) ? strip_cmake(source->text)
+                                                 : strip_source(source->text);
   source->line_starts = compute_line_starts(source->text);
   sources_.push_back(std::move(source));
 }
@@ -75,17 +76,23 @@ std::vector<Finding> Engine::run() const {
   // =1 runs inline). Writes are lane-disjoint by the induction variable
   // and everything downstream of this barrier — call graph, analyses,
   // suppression, ordering — is serial, so findings and SARIF output are
-  // byte-identical at any thread count.
-  std::vector<ParsedFile> parsed(sources_.size());
+  // byte-identical at any thread count. CMake files never reach the C++
+  // parser: only the token rules read them.
+  std::vector<const SourceFile*> cpp_sources;
+  for (const auto& source : sources_) {
+    if (!is_cmake_path(source->path)) cpp_sources.push_back(source.get());
+  }
+  std::vector<ParsedFile> parsed(cpp_sources.size());
   par::ThreadPool::shared().parallel_for(
-      sources_.size(), [&](std::size_t begin, std::size_t end) {
+      cpp_sources.size(), [&](std::size_t begin, std::size_t end) {
         for (std::size_t i = begin; i < end; ++i) {
-          parsed[i] = parse_file(*sources_[i]);
+          parsed[i] = parse_file(*cpp_sources[i]);
         }
       });
   const CallGraph graph(parsed);
 
   std::vector<Finding> findings;
+  for (const auto& source : sources_) run_token_rules(*source, findings);
   run_taint_analysis(parsed, graph, options_.max_depth, findings);
   run_lock_analysis(parsed, graph, findings);
   run_determinism_analysis(parsed, findings);

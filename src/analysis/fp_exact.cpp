@@ -27,24 +27,6 @@ namespace analock::analysis {
 
 namespace {
 
-bool contains_word(const std::string& text, const std::string& word) {
-  std::size_t pos = 0;
-  while ((pos = text.find(word, pos)) != std::string::npos) {
-    const bool left_ok =
-        pos == 0 || (std::isalnum(static_cast<unsigned char>(
-                         text[pos - 1])) == 0 &&
-                     text[pos - 1] != '_');
-    const std::size_t end = pos + word.size();
-    const bool right_ok =
-        end >= text.size() ||
-        (std::isalnum(static_cast<unsigned char>(text[end])) == 0 &&
-         text[end] != '_');
-    if (left_ok && right_ok) return true;
-    ++pos;
-  }
-  return false;
-}
-
 std::string basename_of(const std::string& path) {
   const std::size_t slash = path.find_last_of("/\\");
   return slash == std::string::npos ? path : path.substr(slash + 1);

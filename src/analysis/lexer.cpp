@@ -1,21 +1,22 @@
 #include "analysis/lexer.h"
 
-#include <cctype>
-
 namespace analock::analysis {
 
 namespace {
 
+// ASCII classification, inline: the <cctype> calls go through the locale
+// tables on every character, and source text is ASCII where it matters.
+bool is_digit(char c) { return c >= '0' && c <= '9'; }
+
 bool is_ident_start(char c) {
-  return std::isalpha(static_cast<unsigned char>(c)) != 0 || c == '_';
+  return (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || c == '_';
 }
 
-bool is_ident_char(char c) {
-  return std::isalnum(static_cast<unsigned char>(c)) != 0 || c == '_';
-}
+bool is_ident_char(char c) { return is_ident_start(c) || is_digit(c); }
 
-bool is_digit(char c) {
-  return std::isdigit(static_cast<unsigned char>(c)) != 0;
+bool is_space(char c) {
+  return c == ' ' || c == '\n' || c == '\t' || c == '\r' || c == '\f' ||
+         c == '\v';
 }
 
 /// True when text[i] begins a raw-string literal (R" with an optional
@@ -34,6 +35,22 @@ bool at_raw_string(std::string_view text, std::size_t i, std::size_t& start) {
   if (i > 0 && is_ident_char(text[i - 1])) return false;
   start = r;
   return true;
+}
+
+/// The multi-character operators kept as one token: :: -> << >> == !=
+/// += -= *= /= && || <= >= ++ --.
+bool is_two_char_op(char a, char b) {
+  switch (a) {
+    case ':': return b == ':';
+    case '-': return b == '>' || b == '=' || b == '-';
+    case '<': return b == '<' || b == '=';
+    case '>': return b == '>' || b == '=';
+    case '+': return b == '+' || b == '=';
+    case '=': case '!': case '*': case '/': return b == '=';
+    case '&': return b == '&';
+    case '|': return b == '|';
+    default: return false;
+  }
 }
 
 void blank(std::string& out, std::size_t i) {
@@ -121,6 +138,28 @@ std::string strip_source(std::string_view text) {
   return out;
 }
 
+bool is_cmake_path(std::string_view path) {
+  const std::size_t slash = path.find_last_of("/\\");
+  const std::string_view name =
+      slash == std::string_view::npos ? path : path.substr(slash + 1);
+  return name == "CMakeLists.txt" ||
+         (name.size() > 6 && name.substr(name.size() - 6) == ".cmake");
+}
+
+std::string strip_cmake(std::string_view text) {
+  std::string out(text);
+  bool in_comment = false;
+  for (char& c : out) {
+    if (c == '\n') {
+      in_comment = false;
+    } else if (c == '#' || in_comment) {
+      in_comment = true;
+      c = ' ';
+    }
+  }
+  return out;
+}
+
 std::vector<std::size_t> compute_line_starts(std::string_view text) {
   std::vector<std::size_t> starts{0};
   for (std::size_t i = 0; i < text.size(); ++i) {
@@ -130,17 +169,13 @@ std::vector<std::size_t> compute_line_starts(std::string_view text) {
 }
 
 std::vector<Token> tokenize(std::string_view stripped) {
-  static constexpr std::string_view kTwoCharOps[] = {
-      "::", "->", "<<", ">>", "==", "!=", "+=", "-=", "*=",
-      "/=", "&&", "||", "<=", ">=", "++", "--",
-  };
   std::vector<Token> tokens;
   tokens.reserve(stripped.size() / 4 + 8);
   const std::size_t n = stripped.size();
   std::size_t i = 0;
   while (i < n) {
     const char c = stripped[i];
-    if (std::isspace(static_cast<unsigned char>(c)) != 0) {
+    if (is_space(c)) {
       ++i;
       continue;
     }
@@ -166,21 +201,10 @@ std::vector<Token> tokenize(std::string_view stripped) {
       i = j;
       continue;
     }
-    if (i + 1 < n) {
-      const std::string_view two = stripped.substr(i, 2);
-      bool matched = false;
-      for (const std::string_view op : kTwoCharOps) {
-        if (two == op) {
-          tokens.push_back({TokKind::kPunct, two, i});
-          i += 2;
-          matched = true;
-          break;
-        }
-      }
-      if (matched) continue;
-    }
-    tokens.push_back({TokKind::kPunct, stripped.substr(i, 1), i});
-    ++i;
+    const std::size_t len =
+        i + 1 < n && is_two_char_op(c, stripped[i + 1]) ? 2 : 1;
+    tokens.push_back({TokKind::kPunct, stripped.substr(i, len), i});
+    i += len;
   }
   return tokens;
 }

@@ -1,11 +1,11 @@
 // Offset-preserving C++ lexing for the analock-verify engine.
 //
-// strip_source() is the C++ port of analock_lint.py's strip_code(): it
-// blanks comments and string/char literals while keeping the text the
-// same length, so offsets and line numbers in the stripped image map
-// 1:1 onto the original file. On top of the Python version it also
-// understands raw string literals (R"delim(...)delim", including the
-// u8R/uR/LR prefixes), which regex-level stripping cannot handle.
+// strip_source() blanks comments and string/char literals while keeping
+// the text the same length, so offsets and line numbers in the stripped
+// image map 1:1 onto the original file. It understands raw string
+// literals (R"delim(...)delim", including the u8R/uR/LR prefixes) and
+// C++14 digit separators. CMake files (CMakeLists.txt, *.cmake) get
+// strip_cmake() instead, which blanks only `#` comments.
 //
 // tokenize() then produces a flat token stream over the stripped text:
 // identifiers, numbers (with C++14 digit separators), and punctuation,
@@ -23,6 +23,14 @@ namespace analock::analysis {
 /// Blanks comments and string/char literals; preserves length and
 /// newlines so offsets stay aligned with the original text.
 [[nodiscard]] std::string strip_source(std::string_view text);
+
+/// True for CMake build files: a file named CMakeLists.txt or ending in
+/// .cmake. The engine never parses these as C++.
+[[nodiscard]] bool is_cmake_path(std::string_view path);
+
+/// Blanks `#` comments in CMake text, preserving length and newlines.
+/// Quoted arguments stay intact: compiler flags live in them.
+[[nodiscard]] std::string strip_cmake(std::string_view text);
 
 enum class TokKind : std::uint8_t {
   kIdentifier,  ///< [A-Za-z_][A-Za-z0-9_]*

@@ -73,6 +73,17 @@ const std::vector<RuleInfo>& rule_catalog() {
       {"ct-leak-call",
        "key/PUF material passed to a known variable-time callee "
        "(memcmp/strcmp/std::find/map lookup); use analock::ct_equal"},
+      {"determinism-clock",
+       "ambient wall-clock read (system/steady/high_resolution_clock::now) "
+       "outside the injectable obs::Clock"},
+      {"secret-compare",
+       "early-exit ==/!= on key/PUF material; use analock::ct_equal"},
+      {"shift-overflow",
+       "literal shift that overflows its operand width (undefined "
+       "behaviour)"},
+      {"build-hygiene",
+       "value-unsafe floating-point mode (-ffast-math, -ffp-contract=fast, "
+       "#pragma STDC FP_CONTRACT ON, ...) that voids bit-exactness"},
   };
   return rules;
 }

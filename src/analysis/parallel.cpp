@@ -34,24 +34,6 @@ namespace analock::analysis {
 
 namespace {
 
-bool contains_word(const std::string& text, const std::string& word) {
-  std::size_t pos = 0;
-  while ((pos = text.find(word, pos)) != std::string::npos) {
-    const bool left_ok =
-        pos == 0 || (std::isalnum(static_cast<unsigned char>(
-                         text[pos - 1])) == 0 &&
-                     text[pos - 1] != '_');
-    const std::size_t end = pos + word.size();
-    const bool right_ok =
-        end >= text.size() ||
-        (std::isalnum(static_cast<unsigned char>(text[end])) == 0 &&
-         text[end] != '_');
-    if (left_ok && right_ok) return true;
-    ++pos;
-  }
-  return false;
-}
-
 bool lock_names_mutex(const std::string& arg, const std::string& mutex_name) {
   if (arg == mutex_name) return true;
   const std::size_t pos = arg.rfind(mutex_name);

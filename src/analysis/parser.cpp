@@ -45,25 +45,6 @@ std::string trim(std::string_view text) {
   return std::string(text.substr(b, e - b));
 }
 
-/// Whole-word containment ('_' counts as a word character).
-bool contains_word(std::string_view text, std::string_view word) {
-  std::size_t pos = 0;
-  while ((pos = text.find(word, pos)) != std::string_view::npos) {
-    const bool left_ok =
-        pos == 0 || (std::isalnum(static_cast<unsigned char>(
-                         text[pos - 1])) == 0 &&
-                     text[pos - 1] != '_');
-    const std::size_t end = pos + word.size();
-    const bool right_ok =
-        end >= text.size() ||
-        (std::isalnum(static_cast<unsigned char>(text[end])) == 0 &&
-         text[end] != '_');
-    if (left_ok && right_ok) return true;
-    ++pos;
-  }
-  return false;
-}
-
 /// Matching-bracket maps over a token stream (token index -> token
 /// index). Unbalanced brackets match to the end of the stream.
 struct BracketMap {
@@ -1447,6 +1428,24 @@ std::vector<std::string> split_top_level_args(std::string_view args) {
   const std::string piece = trim(args.substr(start));
   if (!piece.empty()) out.push_back(piece);
   return out;
+}
+
+bool contains_word(std::string_view text, std::string_view word) {
+  std::size_t pos = 0;
+  while ((pos = text.find(word, pos)) != std::string_view::npos) {
+    const bool left_ok =
+        pos == 0 || (std::isalnum(static_cast<unsigned char>(
+                         text[pos - 1])) == 0 &&
+                     text[pos - 1] != '_');
+    const std::size_t end = pos + word.size();
+    const bool right_ok =
+        end >= text.size() ||
+        (std::isalnum(static_cast<unsigned char>(text[end])) == 0 &&
+         text[end] != '_');
+    if (left_ok && right_ok) return true;
+    ++pos;
+  }
+  return false;
 }
 
 // analock: thread_safe -- pure function of its SourceFile, no statics

@@ -21,6 +21,7 @@
 // function, which is the right granularity for taint and lock checks.
 #pragma once
 
+#include <cctype>
 #include <cstddef>
 #include <map>
 #include <string>
@@ -190,6 +191,31 @@ struct ParsedFile {
 
 /// Parses one file. `source` must outlive the returned ParsedFile.
 [[nodiscard]] ParsedFile parse_file(const SourceFile& source);
+
+/// Whole-word containment ('_' counts as a word character).
+[[nodiscard]] bool contains_word(std::string_view text, std::string_view word);
+
+/// Applies `fn` to each identifier run of `text` until it returns false.
+template <typename Fn>
+void for_each_identifier(std::string_view text, Fn fn) {
+  std::size_t i = 0;
+  const std::size_t n = text.size();
+  while (i < n) {
+    const char c = text[i];
+    if (std::isalpha(static_cast<unsigned char>(c)) != 0 || c == '_') {
+      std::size_t j = i + 1;
+      while (j < n && (std::isalnum(static_cast<unsigned char>(
+                           text[j])) != 0 ||
+                       text[j] == '_')) {
+        ++j;
+      }
+      if (!fn(text.substr(i, j - i))) return;
+      i = j;
+    } else {
+      ++i;
+    }
+  }
+}
 
 /// Splits an argument list on top-level commas (respects (), [], {},
 /// and <> nesting) and trims whitespace from each piece.

@@ -1,12 +1,12 @@
 // Interprocedural secret-taint analysis.
 //
-// The oracle is name- and type-based, mirroring analock_lint.py: the
-// repo's own naming convention marks key material (config_key, id_key,
-// puf_*, key_* ...), the Key64/WrappedKey types mark it structurally,
-// and .bits()/.to_hex() accessors expose raw key words anywhere.
+// The oracle is name- and type-based: the repo's own naming convention
+// marks key material (config_key, id_key, puf_*, key_* ...), the
+// Key64/WrappedKey types mark it structurally, and .bits()/.to_hex()
+// accessors expose raw key words anywhere.
 //
-// On top of the lint's single-expression view this pass computes
-// per-function summaries over the cross-TU call graph:
+// Beyond a single-expression view this pass computes per-function
+// summaries over the cross-TU call graph:
 //
 //   param_to_sink[i]   param i reaches a sink inside the callee
 //                      (directly or through deeper calls, to a depth);
@@ -46,67 +46,6 @@ const char* const kBenignPrefixes[] = {
 const char* const kBenignSuffixes[] = {
     "_prob", "_rate", "_sigma", "_stddev", "_noise", "_pct",
 };
-
-bool contains_word(std::string_view text, std::string_view word) {
-  std::size_t pos = 0;
-  while ((pos = text.find(word, pos)) != std::string_view::npos) {
-    const bool left_ok =
-        pos == 0 || (std::isalnum(static_cast<unsigned char>(
-                         text[pos - 1])) == 0 &&
-                     text[pos - 1] != '_');
-    const std::size_t end = pos + word.size();
-    const bool right_ok =
-        end >= text.size() ||
-        (std::isalnum(static_cast<unsigned char>(text[end])) == 0 &&
-         text[end] != '_');
-    if (left_ok && right_ok) return true;
-    pos += 1;
-  }
-  return false;
-}
-
-/// Splits `text` into identifier runs and applies `fn` to each.
-template <typename Fn>
-void for_each_identifier(std::string_view text, Fn fn) {
-  std::size_t i = 0;
-  const std::size_t n = text.size();
-  while (i < n) {
-    const char c = text[i];
-    if (std::isalpha(static_cast<unsigned char>(c)) != 0 || c == '_') {
-      std::size_t j = i + 1;
-      while (j < n && (std::isalnum(static_cast<unsigned char>(
-                           text[j])) != 0 ||
-                       text[j] == '_')) {
-        ++j;
-      }
-      if (!fn(text.substr(i, j - i))) return;
-      i = j;
-    } else {
-      ++i;
-    }
-  }
-}
-
-bool has_secret_accessor(std::string_view text) {
-  // .bits( / ->bits( / .to_hex( / ->to_hex(
-  for (const std::string_view acc : {"bits", "to_hex"}) {
-    std::size_t pos = 0;
-    while ((pos = text.find(acc, pos)) != std::string_view::npos) {
-      const std::size_t end = pos + acc.size();
-      const bool deref =
-          (pos >= 1 && text[pos - 1] == '.') ||
-          (pos >= 2 && text[pos - 2] == '-' && text[pos - 1] == '>');
-      std::size_t k = end;
-      while (k < text.size() &&
-             std::isspace(static_cast<unsigned char>(text[k])) != 0) {
-        ++k;
-      }
-      if (deref && k < text.size() && text[k] == '(') return true;
-      pos = end;
-    }
-  }
-  return false;
-}
 
 bool is_secret_type(std::string_view type) {
   return contains_word(type, "Key64") || contains_word(type, "WrappedKey");
@@ -422,6 +361,26 @@ bool is_secret_identifier(std::string_view identifier) {
   // puf_* / key_* prefixed identifiers carry material by convention.
   if (lower.rfind("puf_", 0) == 0 || lower.rfind("key_", 0) == 0) {
     return true;
+  }
+  return false;
+}
+
+bool has_secret_accessor(std::string_view text) {
+  for (const std::string_view acc : {"bits", "to_hex"}) {
+    std::size_t pos = 0;
+    while ((pos = text.find(acc, pos)) != std::string_view::npos) {
+      const std::size_t end = pos + acc.size();
+      const bool deref =
+          (pos >= 1 && text[pos - 1] == '.') ||
+          (pos >= 2 && text[pos - 2] == '-' && text[pos - 1] == '>');
+      std::size_t k = end;
+      while (k < text.size() &&
+             std::isspace(static_cast<unsigned char>(text[k])) != 0) {
+        ++k;
+      }
+      if (deref && k < text.size() && text[k] == '(') return true;
+      pos = end;
+    }
   }
   return false;
 }

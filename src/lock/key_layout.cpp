@@ -4,10 +4,10 @@
 
 namespace analock::lock {
 
-// Compile-time mirror of analock-lint's layout rules: every field fits in
-// the word, no two fields overlap, and the fields plus the four single
-// mode bits tile exactly the paper's 64 key bits. A layout edit that
-// breaks the invariant fails right here instead of scrambling keys.
+// Every field fits in the word, no two fields overlap, and the fields
+// plus the four single mode bits tile exactly the paper's 64 key bits. A
+// layout edit that breaks the invariant fails right here instead of
+// scrambling keys.
 namespace {
 
 constexpr sim::BitRange kFields[] = {
@@ -18,41 +18,7 @@ constexpr sim::BitRange kFields[] = {
 constexpr unsigned kModeBits[] = {
     KeyLayout::kFeedbackEnable, KeyLayout::kCompClockEnable,
     KeyLayout::kGminEnable, KeyLayout::kBufferInPath};
-
-constexpr std::uint64_t layout_coverage() {
-  std::uint64_t covered = 0;
-  for (const sim::BitRange& f : kFields) covered |= f.mask();
-  for (const unsigned b : kModeBits) covered |= std::uint64_t{1} << b;
-  return covered;
-}
-
-constexpr bool layout_disjoint() {
-  std::uint64_t covered = 0;
-  for (const sim::BitRange& f : kFields) {
-    if ((covered & f.mask()) != 0) return false;
-    covered |= f.mask();
-  }
-  for (const unsigned b : kModeBits) {
-    if ((covered >> b) & 1u) return false;
-    covered |= std::uint64_t{1} << b;
-  }
-  return true;
-}
-
-constexpr bool layout_ranges_valid() {
-  for (const sim::BitRange& f : kFields) {
-    if (!f.valid()) return false;
-  }
-  for (const unsigned b : kModeBits) {
-    if (b >= KeyLayout::kKeyBits) return false;
-  }
-  return true;
-}
-
-static_assert(layout_ranges_valid(), "a key field falls outside the word");
-static_assert(layout_disjoint(), "key fields overlap");
-static_assert(layout_coverage() == ~std::uint64_t{0},
-              "key fields do not tile all 64 bits");
+static_assert(sim::check_layout<kFields, kModeBits>());
 
 }  // namespace
 

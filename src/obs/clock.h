@@ -24,6 +24,7 @@ class SteadyClock final : public Clock {
   [[nodiscard]] std::uint64_t now_ns() const override {
     return static_cast<std::uint64_t>(
         std::chrono::duration_cast<std::chrono::nanoseconds>(
+            // analock-verify: allow(determinism-clock) the one injectable wall clock; tests swap in FakeClock
             std::chrono::steady_clock::now().time_since_epoch())
             .count());
   }

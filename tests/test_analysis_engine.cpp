@@ -343,6 +343,52 @@ TEST(EngineDeterminism, SimRngDerivedEngineIsClean) {
   EXPECT_TRUE(engine.run().empty());
 }
 
+// ------------------------------------------------------------ token rules
+
+TEST(EngineTokenRules, CMakeFlagsFireOutsideCommentsOnly) {
+  Engine engine;
+  engine.add_source("sub/CMakeLists.txt",
+                    "# -ffast-math in a comment is inert\n"
+                    "add_compile_options(-Ofast)\n");
+  engine.add_source("flags.cmake", "set(F \"-ffp-contract=fast\")  # ok\n");
+  const std::vector<Finding> findings = engine.run();
+  ASSERT_EQ(findings.size(), 2u);
+  EXPECT_EQ(findings[0].file, "flags.cmake");
+  EXPECT_EQ(findings[1].file, "sub/CMakeLists.txt");
+  EXPECT_EQ(findings[1].line, 2);
+  for (const Finding& f : findings) EXPECT_EQ(f.rule, "build-hygiene");
+}
+
+TEST(EngineTokenRules, SecretCompareJudgesTheOperandChain) {
+  Engine engine;
+  engine.add_source(
+      "cmp.cpp",
+      "bool a(const Cfg& cfg, int probe) { return cfg.config_key == probe; }\n"
+      "bool b(unsigned chip_key) { return (chip_key & 1u) != 0; }\n"
+      "bool c(const V& user_keys) { return user_keys.size() == 0; }\n"
+      "bool d(int x) { return load_config_key(x) == 3; }\n"
+      "bool e(const K& k, unsigned w) { return w != k.bits(); }\n");
+  const std::vector<Finding> findings = engine.run();
+  std::vector<int> lines;
+  for (const Finding& f : findings) {
+    if (f.rule == "secret-compare") lines.push_back(f.line);
+  }
+  EXPECT_EQ(lines, (std::vector<int>{1, 5}));
+}
+
+TEST(EngineTokenRules, ShiftOverflowRespectsOperandWidth) {
+  Engine engine;
+  engine.add_source("shift.cpp",
+                    "unsigned long long a = 1u << 31;\n"
+                    "unsigned long long b = 1ull << 63;\n"
+                    "unsigned long long c = 3ull << 63;\n"
+                    "unsigned long long d = 0x1 << 32;\n"
+                    "unsigned long long e = 0x1'0000'0000 << 31;\n");
+  std::vector<int> lines;
+  for (const Finding& f : engine.run()) lines.push_back(f.line);
+  EXPECT_EQ(lines, (std::vector<int>{3, 4}));
+}
+
 // --------------------------------------------------------- parallel model
 
 TEST(ParserParallel, ExtractsRegionCapturesParamsAndBodyExtent) {

@@ -1,5 +1,5 @@
 // Tests for the constant-time comparator that secret-key comparisons
-// are required to use (analock-lint rule `secret-compare`).
+// are required to use (analock-verify rule `secret-compare`).
 
 #include <gtest/gtest.h>
 
@@ -51,7 +51,6 @@ TEST(CtEqual, AgreesWithOperatorEqOnRandomKeys) {
                         : a.with_bit(static_cast<unsigned>(trial % 64),
                                      !a.bit(static_cast<unsigned>(trial % 64)));
     // Oracle check against the (non-secret-safe) defaulted comparison.
-    // analock-lint: allow(secret-compare)
     EXPECT_EQ(ct_equal(a, b), a == b);
   }
 }

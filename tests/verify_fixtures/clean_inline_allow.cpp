@@ -15,4 +15,16 @@ int documented_engine() {
   return static_cast<int>(gen());
 }
 
+bool attacker_side_compare(unsigned long long candidate_config_key,
+                           unsigned long long probe) {
+  // Both operands are the attacker's own hypotheses; nothing secret.
+  // analock-verify: allow(secret-compare) attacker-side hypotheses
+  return candidate_config_key == probe;
+}
+
+bool same_line_allow(unsigned long long candidate_config_key,
+                     unsigned long long probe) {
+  return candidate_config_key != probe;  // analock-verify: allow(secret-compare) attacker-side hypotheses
+}
+
 }  // namespace fixture

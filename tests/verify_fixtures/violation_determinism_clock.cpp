@@ -1,5 +1,5 @@
-// Seeded violation: ambient wall-clock reads outside the obs::Clock
-// abstraction. This file is linter input only — never compiled.
+// Determinism violation: ambient wall-clock reads outside the
+// injectable obs::Clock.
 #include <chrono>
 #include <cstdint>
 

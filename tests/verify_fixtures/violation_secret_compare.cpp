@@ -1,5 +1,4 @@
-// Seeded violation: early-exit comparison on key material.
-// This file is linter input only — it is never compiled or linked.
+// Secret-compare violations: early-exit comparison on key material.
 #include <cstdint>
 #include <cstring>
 
@@ -19,12 +18,14 @@ bool oracle_rejects(const Key64& user_key_slot, const Key64& probe) {
   return user_key_slot != probe;  // expect: secret-compare
 }
 
-// Negative case: memcmp on key material is analock-verify's territory
-// (rule ct-leak-call, tests/verify_fixtures/ct/violation_ct_leak_call.cpp);
-// the lint rule must NOT double-report it. The `== 0` survives because
-// neither operand of the comparison itself names key material.
+bool accessor_compare(const Key64& probe, std::uint64_t word) {
+  return word == probe.bits();  // expect: secret-compare
+}
+
+// memcmp on key material is ct-leak-call's alone: the operand of `==`
+// is the call's result, so secret-compare stays quiet on this line.
 bool byte_oracle(const Key64& wrapped_key, const Key64& probe) {
-  return std::memcmp(&wrapped_key, &probe, sizeof probe) == 0;
+  return std::memcmp(&wrapped_key, &probe, sizeof probe) == 0;  // expect: ct-leak-call
 }
 
 }  // namespace fixture

@@ -1,5 +1,4 @@
-// Seeded violation: literal shifts that overflow the operand width.
-// This file is linter input only — it is never compiled or linked.
+// Shift-overflow violations: literal shifts past the operand width.
 #include <cstdint>
 
 namespace fixture {

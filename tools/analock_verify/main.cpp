@@ -1,6 +1,7 @@
 // analock-verify — the repo's own static-analysis CLI.
 //
 //   analock_verify --root src                      scan a tree
+//   analock_verify bench tests CMakeLists.txt      scan several roots
 //   analock_verify --root src --sarif out.sarif    also write SARIF
 //   analock_verify --root src --diff-baseline b    fail only on NEW findings
 //   analock_verify --self-test tests/verify_fixtures
@@ -13,13 +14,14 @@
 #include <filesystem>
 #include <fstream>
 #include <iostream>
-#include <map>
 #include <set>
 #include <sstream>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "analysis/engine.h"
+#include "analysis/lexer.h"
 #include "analysis/model.h"
 #include "analysis/sarif.h"
 
@@ -46,13 +48,14 @@ const char* const kUsage =
 
 const std::set<std::string> kSourceSuffixes = {".cpp", ".cc", ".cxx", ".h",
                                                ".hpp"};
-const std::set<std::string> kExcludedDirs = {"build", ".git", "lint_fixtures",
-                                             "verify_fixtures", "third_party"};
 
+/// Build trees, VCS metadata, vendored code, and fixture sets (seeded
+/// violations, scanned only by --self-test) stay out of tree scans.
 bool is_excluded_dir(const fs::path& p) {
   const std::string name = p.filename().string();
-  if (kExcludedDirs.count(name) > 0) return true;
-  return name.rfind("build", 0) == 0;  // build-*, build.tsan, ...
+  return name == ".git" || name == "third_party" ||
+         name.starts_with("build") ||  // build, build-tsan, ...
+         name.ends_with("fixtures");
 }
 
 std::vector<fs::path> gather_sources(const fs::path& root) {
@@ -71,7 +74,8 @@ std::vector<fs::path> gather_sources(const fs::path& root) {
       continue;
     }
     if (!it->is_regular_file()) continue;
-    if (kSourceSuffixes.count(p.extension().string()) > 0) {
+    if (kSourceSuffixes.count(p.extension().string()) > 0 ||
+        analock::analysis::is_cmake_path(p.generic_string())) {
       files.push_back(p);
     }
   }
@@ -89,9 +93,10 @@ bool read_file(const fs::path& path, std::string& out) {
 }
 
 /// Self-test: every fixture line annotated `// expect: rule[, rule]`
-/// must produce those findings on the same or previous line, and no
-/// unannotated finding may appear. All fixtures load into ONE engine so
-/// cross-TU fixtures resolve against each other.
+/// (`# expect:` in CMake files) must produce each listed rule on the
+/// same or the next line, and no unannotated finding may appear. All
+/// fixtures load into ONE engine so cross-TU fixtures resolve against
+/// each other.
 int run_self_test(const fs::path& fixture_dir, int max_depth) {
   const std::vector<fs::path> files = gather_sources(fixture_dir);
   if (files.empty()) {
@@ -102,10 +107,9 @@ int run_self_test(const fs::path& fixture_dir, int max_depth) {
   options.max_depth = max_depth;
   Engine engine(options);
 
-  // (file, line) -> expected rules. The annotation covers its own line
-  // and, for comment-only lines, the line below.
-  std::map<std::pair<std::string, int>, std::set<std::string>> expected;
-  std::map<std::string, std::vector<std::string>> file_lines;
+  // (file, line, rule) triples the fixtures expect.
+  using Expectation = std::tuple<std::string, int, std::string>;
+  std::set<Expectation> expected;
   for (const fs::path& path : files) {
     std::string text;
     if (!read_file(path, text)) {
@@ -116,40 +120,39 @@ int run_self_test(const fs::path& fixture_dir, int max_depth) {
     std::istringstream stream(text);
     std::string line;
     int lineno = 0;
-    std::vector<std::string> lines;
     while (std::getline(stream, line)) {
       ++lineno;
-      lines.push_back(line);
-      const std::size_t tag = line.find("// expect:");
+      std::size_t tag = line.find("// expect:");
+      std::size_t skip = 10;
+      if (tag == std::string::npos) {
+        tag = line.find("# expect:");
+        skip = 9;
+      }
       if (tag == std::string::npos) continue;
-      std::set<std::string> rules;
       std::string current;
-      for (const char c : line.substr(tag + 10)) {
+      for (const char c : line.substr(tag + skip) + ",") {
         if (c == ',') {
-          if (!current.empty()) rules.insert(current);
+          if (!current.empty()) expected.insert({display, lineno, current});
           current.clear();
         } else if (c != ' ' && c != '\t') {
           current += c;
         }
       }
-      if (!current.empty()) rules.insert(current);
-      expected[{display, lineno}] = rules;
     }
-    file_lines[display] = std::move(lines);
     engine.add_source(display, std::move(text));
   }
 
   const std::vector<Finding> findings = engine.run();
   int failures = 0;
-  std::set<std::pair<std::string, int>> satisfied;
+  std::set<Expectation> satisfied;
   for (const Finding& f : findings) {
     // A finding satisfies an expect on its own line or the line above
     // (comment-only annotation preceding the flagged statement).
     bool matched = false;
     for (const int line : {f.line, f.line - 1}) {
-      const auto it = expected.find({f.file, line});
-      if (it != expected.end() && it->second.count(f.rule) > 0) {
-        satisfied.insert({f.file, line});
+      const Expectation key{f.file, line, f.rule};
+      if (expected.count(key) > 0) {
+        satisfied.insert(key);
         matched = true;
         break;
       }
@@ -159,15 +162,10 @@ int run_self_test(const fs::path& fixture_dir, int max_depth) {
       ++failures;
     }
   }
-  for (const auto& [key, rules] : expected) {
-    if (satisfied.count(key) > 0) continue;
-    std::string joined;
-    for (const std::string& r : rules) {
-      if (!joined.empty()) joined += ", ";
-      joined += r;
-    }
-    std::cerr << "MISSED: " << key.first << ":" << key.second
-              << ": expected [" << joined << "]\n";
+  for (const auto& [file, line, rule] : expected) {
+    if (satisfied.count({file, line, rule}) > 0) continue;
+    std::cerr << "MISSED: " << file << ":" << line << ": expected [" << rule
+              << "]\n";
     ++failures;
   }
   if (failures > 0) {
@@ -274,7 +272,7 @@ int main(int argc, char** argv) {
     }
   }
   if (loaded == 0) {
-    std::cerr << "analock_verify: no C++ sources found\n";
+    std::cerr << "analock_verify: no C++ or CMake sources found\n";
     return 2;
   }
 
