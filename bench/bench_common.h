@@ -7,7 +7,6 @@
 #include <cstdlib>
 #include <memory>
 #include <string>
-#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -35,38 +34,33 @@ using prof::do_not_optimize;
 ///
 ///   const bench::ObsSession kObsSession("bench_attack_bruteforce");
 ///
-/// At process exit it appends machine-readable summary events to the
-/// artifact and prints the human run report under the bench's tables.
-/// Set ANALOCK_OBS_JSONL=0 to suppress the artifact (metrics stay on);
-/// set it to a path to redirect it.
+/// At process exit it ends the run (obs::finish_run): summary events
+/// into the artifact, then the one human run report under the bench's
+/// tables. ANALOCK_OBS_JSONL=<path> redirects the artifact (the registry
+/// opens it); ANALOCK_OBS_JSONL=0 suppresses it (metrics stay on).
 class ObsSession {
  public:
-  explicit ObsSession(std::string bench_name)
-      : artifact_(std::move(bench_name) + ".jsonl") {
-    obs::Registry& reg = obs::registry();
+  explicit ObsSession(const std::string& bench_name) {
+    obs::Registry& reg = obs::registry();  // applies the environment
     reg.set_enabled(true);
-    if (const char* env = std::getenv("ANALOCK_OBS_JSONL")) {
-      if (std::string_view(env) == "0") {
+    const char* env = std::getenv("ANALOCK_OBS_JSONL");
+    if (reg.has_sink()) {
+      if (env != nullptr) artifact_ = env;
+    } else if (env == nullptr || env[0] == '\0') {
+      artifact_ = bench_name + ".jsonl";
+      auto sink = std::make_unique<obs::JsonlSink>(artifact_);
+      if (sink->ok()) {
+        reg.set_sink(std::move(sink));
+      } else {
+        std::fprintf(stderr, "warning: cannot open %s, JSONL sink disabled\n",
+                     artifact_.c_str());
         artifact_.clear();
-        return;
       }
-      if (env[0] != '\0') artifact_ = env;
-    }
-    auto sink = std::make_unique<obs::JsonlSink>(artifact_);
-    if (sink->ok()) {
-      reg.set_sink(std::move(sink));
-    } else {
-      std::fprintf(stderr, "warning: cannot open %s, JSONL sink disabled\n",
-                   artifact_.c_str());
-      artifact_.clear();
     }
   }
 
   ~ObsSession() {
-    obs::Registry& reg = obs::registry();
-    obs::emit_summary_events(reg);
-    obs::print_report(reg);
-    reg.set_sink(nullptr);  // flushes and closes the artifact
+    obs::finish_run(stdout);
     if (!artifact_.empty()) {
       std::printf("observability artifact: %s\n", artifact_.c_str());
     }

@@ -1,6 +1,7 @@
 #include "obs/metrics.h"
 
 #include <algorithm>
+#include <cstdio>
 #include <cstdlib>
 #include <string>
 
@@ -120,11 +121,6 @@ std::vector<double> Histogram::default_duration_bounds_ms() {
 
 namespace {
 
-const SteadyClock& steady_clock_instance() {
-  static const SteadyClock clock;
-  return clock;
-}
-
 template <typename Map, typename Make>
 auto& find_or_create(Map& map, std::string_view name, Make make) {
   auto it = map.find(name);
@@ -151,7 +147,7 @@ void Registry::set_clock(const Clock* clock) {
 
 std::uint64_t Registry::now_ns() const {
   const Clock* clock = clock_.load(std::memory_order_acquire);
-  if (clock == nullptr) clock = &steady_clock_instance();
+  if (clock == nullptr) clock = &steady_clock_;
   return clock->now_ns();
 }
 
@@ -179,12 +175,33 @@ Histogram& Registry::histogram(std::string_view name,
   });
 }
 
-Histogram& Registry::span_histogram(std::string_view name) {
+bool SpanPathLess::operator()(std::string_view a, std::string_view b) const {
+  const auto rank = [](char c) {
+    return c == ';' ? 0 : static_cast<unsigned char>(c) + 1;
+  };
+  return std::lexicographical_compare(
+      a.begin(), a.end(), b.begin(), b.end(),
+      [&rank](char x, char y) { return rank(x) < rank(y); });
+}
+
+void Registry::record_span(std::string_view path, const char* name,
+                           int depth, std::uint64_t total_ns,
+                           std::uint64_t self_ns,
+                           const prof::CounterValues& self_counters) {
   const std::scoped_lock lock(mu_);
-  return find_or_create(spans_, name, [] {
-    return std::make_unique<Histogram>(
-        Histogram::default_duration_bounds_ms());
-  });
+  auto it = spans_.find(path);
+  if (it == spans_.end()) {
+    it = spans_.try_emplace(std::string(path)).first;
+    it->second.node.path = it->first;
+    it->second.node.name = name;
+    it->second.node.depth = depth;
+  }
+  SpanNode& node = it->second.node;
+  ++node.calls;
+  node.total_ns += total_ns;
+  node.self_ns += self_ns;
+  node.self_counters += self_counters;
+  it->second.durations.observe(static_cast<double>(total_ns) / 1e6);
 }
 
 void Registry::set_sink(std::unique_ptr<EventSink> sink) {
@@ -217,7 +234,7 @@ void Registry::reset_values() {
   for (auto& [name, c] : counters_) c->reset();
   for (auto& [name, g] : gauges_) g->reset();
   for (auto& [name, h] : histograms_) h->reset();
-  for (auto& [name, h] : spans_) h->reset();
+  spans_.clear();
 }
 
 std::vector<std::pair<std::string, std::uint64_t>> Registry::counters() const {
@@ -237,16 +254,24 @@ std::vector<std::pair<std::string, HistogramSnapshot>> Registry::histograms()
                       [](const Histogram& h) { return h.snapshot(); });
 }
 
-std::vector<std::pair<std::string, HistogramSnapshot>> Registry::span_stats()
-    const {
+std::vector<SpanNode> Registry::span_tree() const {
   const std::scoped_lock lock(mu_);
-  return snapshot_map(spans_,
-                      [](const Histogram& h) { return h.snapshot(); });
+  std::vector<SpanNode> out;
+  out.reserve(spans_.size());
+  for (const auto& [path, slot] : spans_) {
+    out.push_back(slot.node);
+    out.back().dur_ms = slot.durations.snapshot();
+  }
+  return out;
 }
 
 // ------------------------------------------------------------------- global
 
+namespace {
+
+/// Applies the environment configuration (see registry()) to `reg`.
 void init_from_env(Registry& reg) {
+  bool sink_attached = false;
   const char* jsonl = std::getenv("ANALOCK_OBS_JSONL");
   if (jsonl != nullptr && jsonl[0] != '\0' &&
       std::string_view(jsonl) != "0") {
@@ -254,7 +279,10 @@ void init_from_env(Registry& reg) {
     if (sink->ok()) {
       reg.set_sink(std::move(sink));
       reg.set_enabled(true);
-      emit_summaries_at_exit();
+      sink_attached = true;
+    } else {
+      std::fprintf(stderr, "warning: cannot open %s, JSONL sink disabled\n",
+                   jsonl);
     }
   }
   const char* on = std::getenv("ANALOCK_OBS");
@@ -262,10 +290,17 @@ void init_from_env(Registry& reg) {
     reg.set_enabled(true);
   }
   const char* report = std::getenv("ANALOCK_OBS_REPORT");
-  if (report != nullptr && std::string_view(report) == "1") {
-    print_report_at_exit();
+  const bool print = report != nullptr && std::string_view(report) == "1";
+  // One hook ends an env-configured run: quiet-span-only workloads emit
+  // nothing per call, so the artifact still gets its summary rows.
+  if (print) {
+    std::atexit([] { finish_run(stdout); });
+  } else if (sink_attached) {
+    std::atexit([] { finish_run(nullptr); });
   }
 }
+
+}  // namespace
 
 Registry& registry() {
   static Registry reg;

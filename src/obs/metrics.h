@@ -1,4 +1,5 @@
-// Metrics registry: named counters, gauges, and fixed-bucket histograms.
+// Metrics registry: named counters, gauges, fixed-bucket histograms, and
+// the span call tree every ANALOCK_SPAN reports into.
 //
 // Design rules (see DESIGN.md / ISSUE 1):
 //  * thread-safe — counters and gauges are atomics, histograms take a
@@ -10,7 +11,12 @@
 //    (clock.h), never from an ambient time call;
 //  * stable handles — Counter/Gauge/Histogram references stay valid for
 //    the registry's lifetime; reset_values() zeroes them in place so
-//    cached `static Counter&` handles in hot paths never dangle.
+//    cached `static Counter&` handles in hot paths never dangle;
+//  * one span aggregation — spans fold into a call tree keyed by their
+//    path ("calib.run;calib.step06;eval.snr_modulator"). Each node keeps
+//    calls, total and self time, self perf-counter deltas and a duration
+//    histogram; the run report, the summary rows and the bench profile
+//    all read this one tree.
 #pragma once
 
 #include <atomic>
@@ -24,6 +30,7 @@
 
 #include "obs/clock.h"
 #include "obs/event.h"
+#include "obs/prof/perf_counters.h"
 
 namespace analock::obs {
 
@@ -107,6 +114,26 @@ class Histogram {
   double max_ = 0.0;  // analock: guarded_by(mu_)
 };
 
+/// One node of the span call tree, addressed by its path: the names of
+/// the open spans joined by ';', outermost first.
+struct SpanNode {
+  std::string path;
+  std::string name;  // leaf span name
+  int depth = 0;     // 0 = outermost span
+  std::uint64_t calls = 0;
+  std::uint64_t total_ns = 0;
+  std::uint64_t self_ns = 0;  // total minus the direct children's totals
+  prof::CounterValues self_counters;  // counter deltas minus children's
+  HistogramSnapshot dur_ms;           // per-call durations (ms)
+};
+
+/// Orders span paths depth-first: the ';' separator sorts below every
+/// name character, so a subtree is contiguous and follows its root.
+struct SpanPathLess {
+  using is_transparent = void;
+  bool operator()(std::string_view a, std::string_view b) const;
+};
+
 /// The process-wide metric and event hub. Usually accessed through the
 /// global `registry()`, but fully instantiable for isolated tests.
 class Registry {
@@ -132,9 +159,20 @@ class Registry {
   Gauge& gauge(std::string_view name);
   Histogram& histogram(std::string_view name);
   Histogram& histogram(std::string_view name, std::vector<double> bounds);
-  /// Span-duration histogram (milliseconds), kept in its own namespace so
-  /// the report can list spans separately from value histograms.
-  Histogram& span_histogram(std::string_view name);
+
+  /// Folds one finished span into the call tree (called by TraceSpan).
+  void record_span(std::string_view path, const char* name, int depth,
+                   std::uint64_t total_ns, std::uint64_t self_ns,
+                   const prof::CounterValues& self_counters);
+
+  /// Counter group spans read at enter and exit for per-node counter
+  /// attribution (not owned; nullptr = timing only).
+  void set_perf_counters(const prof::PerfCounters* counters) {
+    perf_counters_.store(counters, std::memory_order_release);
+  }
+  [[nodiscard]] const prof::PerfCounters* perf_counters() const {
+    return perf_counters_.load(std::memory_order_acquire);
+  }
 
   /// Event stream. The registry owns the sink; set nullptr to detach
   /// (flushes first).
@@ -144,7 +182,7 @@ class Registry {
   void flush();
 
   /// Zeroes every metric value in place (registrations survive, so
-  /// cached references stay valid).
+  /// cached references stay valid) and empties the span tree.
   void reset_values();
 
   /// Sorted snapshots for reporting.
@@ -153,12 +191,22 @@ class Registry {
   [[nodiscard]] std::vector<std::pair<std::string, double>> gauges() const;
   [[nodiscard]] std::vector<std::pair<std::string, HistogramSnapshot>>
   histograms() const;
-  [[nodiscard]] std::vector<std::pair<std::string, HistogramSnapshot>>
-  span_stats() const;
+  /// The span tree in depth-first order: each parent precedes its
+  /// children, siblings sorted by name.
+  [[nodiscard]] std::vector<SpanNode> span_tree() const;
 
  private:
   std::atomic<bool> enabled_{false};
+  // The default time source lives as long as the registry, so the
+  // end-of-run summaries written from exit hooks can still read it.
+  SteadyClock steady_clock_;
   std::atomic<const Clock*> clock_{nullptr};
+  std::atomic<const prof::PerfCounters*> perf_counters_{nullptr};
+
+  struct SpanSlot {
+    SpanNode node;
+    Histogram durations{Histogram::default_duration_bounds_ms()};
+  };
 
   mutable std::mutex mu_;
   // analock: guarded_by(mu_)
@@ -168,7 +216,7 @@ class Registry {
   // analock: guarded_by(mu_)
   std::map<std::string, std::unique_ptr<Histogram>, std::less<>> histograms_;
   // analock: guarded_by(mu_)
-  std::map<std::string, std::unique_ptr<Histogram>, std::less<>> spans_;
+  std::map<std::string, SpanSlot, SpanPathLess> spans_;
 
   mutable std::mutex sink_mu_;
   std::unique_ptr<EventSink> sink_;  // analock: guarded_by(sink_mu_)
@@ -179,9 +227,6 @@ class Registry {
 ///   ANALOCK_OBS_JSONL=<path> enable and attach a JsonlSink at <path>
 ///   ANALOCK_OBS_REPORT=1     print the run report at process exit
 Registry& registry();
-
-/// Applies the environment configuration above to `reg`.
-void init_from_env(Registry& reg);
 
 /// Cheap guarded helpers for instrumented code.
 inline void count(std::string_view name, std::uint64_t n = 1) {

@@ -184,16 +184,46 @@ constexpr NamedCounter kCounterFields[] = {
     {"task_clock_ns", &CounterValues::task_clock_ns},
 };
 
+/// Adds the growth of each tree node from `before` to `after` into
+/// `profile`; nodes that did not grow are left out. A node that shrank
+/// was reset in between and counts in full.
+void add_tree_delta(
+    std::map<std::string, obs::SpanNode, obs::SpanPathLess>& profile,
+    const std::vector<obs::SpanNode>& before,
+    const std::vector<obs::SpanNode>& after) {
+  static const obs::SpanNode kAbsent;
+  std::map<std::string_view, const obs::SpanNode*> base;
+  for (const obs::SpanNode& node : before) base.emplace(node.path, &node);
+  for (const obs::SpanNode& node : after) {
+    const auto it = base.find(node.path);
+    const obs::SpanNode& old =
+        it == base.end() || it->second->calls > node.calls ? kAbsent
+                                                           : *it->second;
+    if (old.calls == node.calls) continue;
+    obs::SpanNode& slot = profile[node.path];
+    if (slot.calls == 0) {
+      slot.path = node.path;
+      slot.name = node.name;
+      slot.depth = node.depth;
+    }
+    slot.calls += node.calls - old.calls;
+    slot.total_ns += node.total_ns - old.total_ns;
+    slot.self_ns += node.self_ns - old.self_ns;
+    slot.self_counters += node.self_counters - old.self_counters;
+  }
+}
+
 }  // namespace
 
 // ---------------------------------------------------------------- Harness
 
 Harness::Harness(std::string bench_name)
     : bench_name_(std::move(bench_name)),
-      counters_(bench_env().force_chrono),
-      profiler_(&counters_) {}
+      counters_(bench_env().force_chrono) {
+  obs::registry().set_perf_counters(&counters_);
+}
 
-Harness::~Harness() { SpanProfiler::detach(); }
+Harness::~Harness() { obs::registry().set_perf_counters(nullptr); }
 
 void Harness::add_case(std::string name, std::function<void()> fn,
                        CaseOptions options) {
@@ -212,8 +242,9 @@ CaseResult Harness::run_case(const std::string& name,
 
   for (int i = 0; i < result.warmups; ++i) fn();
 
-  // Only measured reps feed the span profile.
-  profiler_.attach();
+  // Only measured reps feed the span profile: it is the tree's growth
+  // across them.
+  const std::vector<obs::SpanNode> before = obs::registry().span_tree();
   double elapsed_ms = 0.0;
   while (true) {
     RepSample sample;
@@ -233,7 +264,7 @@ CaseResult Harness::run_case(const std::string& name,
       if (n >= options.min_reps && elapsed_ms >= env.min_time_ms) break;
     }
   }
-  SpanProfiler::detach();
+  add_tree_delta(profile_, before, obs::registry().span_tree());
 
   std::vector<double> wall;
   wall.reserve(result.reps.size());
@@ -245,13 +276,13 @@ CaseResult Harness::run_case(const std::string& name,
 int Harness::run() {
   obs::registry().set_enabled(true);
   results_.clear();
+  profile_.clear();
   results_.reserve(cases_.size());
   for (std::size_t i = 0; i < cases_.size(); ++i) {
     results_.push_back(
         run_case(cases_[i].first, cases_[i].second, case_options_[i]));
   }
   print_case_table();
-  profiler_.print_tree(stdout);
   write_artifacts();
   return 0;
 }
@@ -375,10 +406,10 @@ std::string Harness::json() const {
   out += ']';
 
   out += ",\"profile\":{\"spans\":[";
-  const auto nodes = profiler_.nodes();
-  for (std::size_t i = 0; i < nodes.size(); ++i) {
-    const SpanProfiler::Node& node = nodes[i];
-    if (i != 0) out += ',';
+  bool first_span = true;
+  for (const auto& [path, node] : profile_) {
+    if (!first_span) out += ',';
+    first_span = false;
     out += "{\"path\":";
     append_string(out, node.path);
     out += ",\"name\":";
@@ -388,9 +419,9 @@ std::string Harness::json() const {
     out += ",\"calls\":";
     out += std::to_string(node.calls);
     out += ",\"total_ms\":";
-    append_double(out, node.total_ns / 1e6);
+    append_double(out, static_cast<double>(node.total_ns) / 1e6);
     out += ",\"self_ms\":";
-    append_double(out, node.self_ns / 1e6);
+    append_double(out, static_cast<double>(node.self_ns) / 1e6);
     if (with_counters) {
       out += ",\"self_cycles\":";
       out += std::to_string(node.self_counters.cycles);
@@ -407,7 +438,25 @@ std::string Harness::json() const {
   return out;
 }
 
-std::string Harness::folded() const { return profiler_.folded_stacks(); }
+std::vector<obs::SpanNode> Harness::profile() const {
+  std::vector<obs::SpanNode> out;
+  out.reserve(profile_.size());
+  for (const auto& [path, node] : profile_) out.push_back(node);
+  return out;
+}
+
+std::string Harness::folded() const {
+  // One "path self_microseconds" line per node: flamegraph.pl expects
+  // integer sample counts, and self time keeps stack widths true.
+  std::string out;
+  for (const auto& [path, node] : profile_) {
+    out += path;
+    out += ' ';
+    out += std::to_string((node.self_ns + 500) / 1000);
+    out += '\n';
+  }
+  return out;
+}
 
 void Harness::write_artifacts() const {
   const BenchEnv& env = bench_env();

@@ -2,8 +2,12 @@
 //
 // Replaces the ad-hoc per-bench loops: named cases, optional warmup,
 // adaptive repetition, robust statistics (median/MAD/p95/min), per-rep
-// perf-counter deltas, environment capture, and a span profile folded
-// from the ANALOCK_SPAN stream. Each bench binary runs
+// perf-counter deltas, environment capture, and a span profile. The
+// profile is the measured-rep slice of the registry's span tree: per
+// case, the difference of two tree snapshots taken around the measured
+// reps (warmups excluded), summed over cases. For its lifetime the
+// harness lends the registry its PerfCounters, so tree nodes carry self
+// counter deltas. Each bench binary runs
 //
 //   int main() {
 //     analock::bench::Harness h("bench_fig07_snr_modulator");
@@ -33,13 +37,14 @@
 
 #include <cstdint>
 #include <functional>
+#include <map>
 #include <optional>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "obs/metrics.h"
 #include "obs/prof/perf_counters.h"
-#include "obs/prof/span_profile.h"
 
 namespace analock::prof {
 
@@ -114,8 +119,9 @@ class Harness {
                 CaseOptions options = {});
 
   /// Runs every registered case (warmup, adaptive reps, stats), prints
-  /// the per-case table and span profile, writes BENCH_<name>.json and
-  /// the folded-stacks artifact. Returns a process exit code.
+  /// the per-case table, writes BENCH_<name>.json and the folded-stacks
+  /// artifact. Returns a process exit code. The span tree itself is
+  /// printed once, by the end-of-run report (obs::finish_run).
   int run();
 
   /// The BENCH_*.json document for the current results (valid after
@@ -126,6 +132,8 @@ class Harness {
   [[nodiscard]] const std::vector<CaseResult>& results() const {
     return results_;
   }
+  /// The measured-rep span profile, depth-first (valid after run()).
+  [[nodiscard]] std::vector<obs::SpanNode> profile() const;
   [[nodiscard]] const PerfCounters& counters() const { return counters_; }
 
  private:
@@ -139,8 +147,9 @@ class Harness {
   std::vector<std::pair<std::string, std::function<void()>>> cases_;
   std::vector<CaseOptions> case_options_;
   PerfCounters counters_;
-  SpanProfiler profiler_;
   std::vector<CaseResult> results_;
+  // Measured-rep tree deltas keyed by path; summed over cases.
+  std::map<std::string, obs::SpanNode, obs::SpanPathLess> profile_;
 };
 
 /// Keeps the compiler from proving a benchmarked expression dead.

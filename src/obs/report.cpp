@@ -1,14 +1,13 @@
 #include "obs/report.h"
 
-#include <algorithm>
-#include <cstdlib>
+#include <atomic>
 #include <string>
 #include <vector>
 
 namespace analock::obs {
 
 void print_report(const Registry& reg, std::FILE* out) {
-  auto spans = reg.span_stats();
+  const auto spans = reg.span_tree();
   const auto counters = reg.counters();
   const auto gauges = reg.gauges();
   const auto histograms = reg.histograms();
@@ -20,16 +19,18 @@ void print_report(const Registry& reg, std::FILE* out) {
   std::fprintf(out, "\n---------------------------- observability report "
                     "----------------------------\n");
   if (!spans.empty()) {
-    std::sort(spans.begin(), spans.end(), [](const auto& a, const auto& b) {
-      return a.second.sum > b.second.sum;
-    });
-    std::fprintf(out, "%-28s %10s %12s %10s %10s %10s\n", "span", "calls",
-                 "total[ms]", "p50[ms]", "p95[ms]", "max[ms]");
-    for (const auto& [name, s] : spans) {
-      if (s.count == 0) continue;
-      std::fprintf(out, "%-28s %10llu %12.3f %10.4f %10.4f %10.4f\n",
-                   name.c_str(), static_cast<unsigned long long>(s.count),
-                   s.sum, s.p50, s.p95, s.max);
+    std::fprintf(out, "%-40s %8s %11s %11s %9s %9s %9s\n", "span tree",
+                 "calls", "total[ms]", "self[ms]", "p50[ms]", "p95[ms]",
+                 "max[ms]");
+    for (const SpanNode& node : spans) {
+      std::string label(static_cast<std::size_t>(node.depth) * 2, ' ');
+      label += node.name;
+      if (label.size() > 40) label.resize(40);
+      std::fprintf(out, "%-40s %8llu %11.3f %11.3f %9.4f %9.4f %9.4f\n",
+                   label.c_str(), static_cast<unsigned long long>(node.calls),
+                   static_cast<double>(node.total_ns) / 1e6,
+                   static_cast<double>(node.self_ns) / 1e6, node.dur_ms.p50,
+                   node.dur_ms.p95, node.dur_ms.max);
     }
   }
 
@@ -37,52 +38,52 @@ void print_report(const Registry& reg, std::FILE* out) {
   for (const auto& [name, value] : counters) {
     if (value == 0) continue;
     if (!header) {
-      std::fprintf(out, "%-28s %10s\n", "counter", "value");
+      std::fprintf(out, "%-40s %8s\n", "counter", "value");
       header = true;
     }
-    std::fprintf(out, "%-28s %10llu\n", name.c_str(),
+    std::fprintf(out, "%-40s %8llu\n", name.c_str(),
                  static_cast<unsigned long long>(value));
   }
   header = false;
   for (const auto& [name, value] : gauges) {
     if (!header) {
-      std::fprintf(out, "%-28s %10s\n", "gauge", "value");
+      std::fprintf(out, "%-40s %8s\n", "gauge", "value");
       header = true;
     }
-    std::fprintf(out, "%-28s %10.4g\n", name.c_str(), value);
+    std::fprintf(out, "%-40s %8.4g\n", name.c_str(), value);
   }
   header = false;
   for (const auto& [name, s] : histograms) {
     if (s.count == 0) continue;
     if (!header) {
-      std::fprintf(out, "%-28s %10s %12s %10s %10s %10s\n", "histogram",
+      std::fprintf(out, "%-40s %8s %11s %11s %9s %9s\n", "histogram",
                    "count", "mean", "p50", "p95", "max");
       header = true;
     }
-    std::fprintf(out, "%-28s %10llu %12.4g %10.4g %10.4g %10.4g\n",
+    std::fprintf(out, "%-40s %8llu %11.4g %11.4g %9.4g %9.4g\n",
                  name.c_str(), static_cast<unsigned long long>(s.count),
                  s.mean(), s.p50, s.p95, s.max);
   }
   std::fprintf(out, "-------------------------------------------------------"
-                    "-----------------------\n");
+                    "----------------------------------\n");
   std::fflush(out);
 }
 
 void emit_summary_events(Registry& reg) {
   if (!reg.enabled() || !reg.has_sink()) return;
   const std::uint64_t now = reg.now_ns();
-  for (const auto& [name, s] : reg.span_stats()) {
-    if (s.count == 0) continue;
+  for (const SpanNode& node : reg.span_tree()) {
     Event e;
     e.ts_ns = now;
     e.type = "summary";
-    e.name = name;
+    e.name = node.path;
     e.attrs = {{"kind", "span"},
-               {"calls", s.count},
-               {"total_ms", s.sum},
-               {"p50_ms", s.p50},
-               {"p95_ms", s.p95},
-               {"max_ms", s.max}};
+               {"calls", node.calls},
+               {"total_ms", static_cast<double>(node.total_ns) / 1e6},
+               {"self_ms", static_cast<double>(node.self_ns) / 1e6},
+               {"p50_ms", node.dur_ms.p50},
+               {"p95_ms", node.dur_ms.p95},
+               {"max_ms", node.dur_ms.max}};
     reg.emit(e);
   }
   for (const auto& [name, value] : reg.counters()) {
@@ -96,27 +97,13 @@ void emit_summary_events(Registry& reg) {
   }
 }
 
-void print_report_at_exit() {
-  static const bool registered = [] {
-    std::atexit([] {
-      Registry& reg = registry();
-      if (reg.enabled()) print_report(reg);
-    });
-    return true;
-  }();
-  (void)registered;
-}
-
-void emit_summaries_at_exit() {
-  static const bool registered = [] {
-    std::atexit([] {
-      // Quiet-span-only workloads emit nothing per call; make sure an
-      // env-configured JSONL artifact still carries the timing summary.
-      emit_summary_events(registry());
-    });
-    return true;
-  }();
-  (void)registered;
+void finish_run(std::FILE* report_out) {
+  static std::atomic<bool> finished{false};
+  if (finished.exchange(true)) return;
+  Registry& reg = registry();
+  emit_summary_events(reg);
+  if (report_out != nullptr && reg.enabled()) print_report(reg, report_out);
+  reg.set_sink(nullptr);  // flushes and closes the artifact
 }
 
 }  // namespace analock::obs

@@ -10,11 +10,13 @@
 //     ...
 //   }
 //
-// Spans nest: a thread-local depth tracks the current stack position and
-// is recorded on every emitted record. Each span feeds the registry's
-// span histogram (duration in milliseconds) and, unless QUIET, emits one
-// "span" event carrying its begin timestamp and duration. When the
-// registry is disabled, constructing a span is a single relaxed load.
+// Spans nest: a thread-local frame stack holds each open span's path,
+// its children's time and the perf counters at enter. On exit a span is
+// folded into the registry's call tree under its path (calls, total and
+// self time, self counter deltas, duration histogram) and, unless QUIET,
+// emits one "span" event carrying its begin timestamp, depth and
+// duration. When the registry is disabled, constructing a span is a
+// single relaxed load and touches no thread-local state.
 #pragma once
 
 #include <cstdint>
@@ -43,7 +45,6 @@ class TraceSpan {
   int depth_ = 0;
   bool active_ = false;
   bool emit_event_ = true;
-  bool profiled_ = false;  // span was reported to an attached SpanProfiler
 };
 
 /// Emits one point event (type "event") with attributes, if enabled and a
@@ -79,7 +80,7 @@ class Convergence {
   const ::analock::obs::TraceSpan ANALOCK_OBS_CONCAT(            \
       analock_obs_span_, __COUNTER__)(name)
 
-/// Timed scope without per-call events (hot paths: histograms only).
+/// Timed scope without per-call events (hot paths: span tree only).
 #define ANALOCK_SPAN_QUIET(name)                                 \
   const ::analock::obs::TraceSpan ANALOCK_OBS_CONCAT(            \
       analock_obs_span_, __COUNTER__)(name, false)

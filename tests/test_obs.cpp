@@ -6,6 +6,7 @@
 #include <cctype>
 #include <cmath>
 #include <cstdint>
+#include <cstdio>
 #include <limits>
 #include <map>
 #include <string>
@@ -169,6 +170,17 @@ class JsonParser {
 
 JsonValue parse_json(std::string_view line) { return JsonParser(line).parse(); }
 
+/// Everything written to the temporary file `f`; closes it.
+std::string slurp(std::FILE* f) {
+  std::rewind(f);
+  std::string text;
+  for (int c = std::fgetc(f); c != EOF; c = std::fgetc(f)) {
+    text.push_back(static_cast<char>(c));
+  }
+  std::fclose(f);
+  return text;
+}
+
 // ---------------------------------------------------------------------------
 // Counters, gauges, histograms (standalone objects — no global state).
 // ---------------------------------------------------------------------------
@@ -255,14 +267,16 @@ TEST(ObsHistogram, ExponentialBounds) {
 TEST(ObsRegistry, StableReferencesSurviveResetValues) {
   obs::Registry reg;
   obs::Counter& c = reg.counter("trials");
-  obs::Histogram& h = reg.span_histogram("eval");
+  obs::Histogram& h = reg.histogram("eval");
   c.add(10);
   h.observe(1.25);
+  reg.record_span("eval", "eval", 0, 1250000, 1250000, {});
   reg.reset_values();
-  // Same objects, zeroed in place.
+  // Same objects, zeroed in place; the span tree starts over.
   EXPECT_EQ(&reg.counter("trials"), &c);
   EXPECT_EQ(c.value(), 0u);
   EXPECT_EQ(h.count(), 0u);
+  EXPECT_TRUE(reg.span_tree().empty());
   c.add(1);
   EXPECT_EQ(reg.counter("trials").value(), 1u);
 }
@@ -280,6 +294,29 @@ TEST(ObsRegistry, SnapshotsAreSortedByName) {
   const auto gauges = reg.gauges();
   ASSERT_EQ(gauges.size(), 1u);
   EXPECT_DOUBLE_EQ(gauges[0].second, 0.5);
+}
+
+TEST(ObsRegistry, SpanTreeIsDepthFirst) {
+  obs::Registry reg;
+  // Recorded out of order, and "a.x" sorts between "a" and "a;b" in
+  // plain byte order: the tree must still list each subtree under its
+  // root.
+  reg.record_span("a.x", "a.x", 0, 10, 10, {});
+  reg.record_span("a;b", "b", 1, 4, 4, {});
+  reg.record_span("a", "a", 0, 9, 5, {});
+  reg.record_span("a;b", "b", 1, 6, 6, {});
+  const auto tree = reg.span_tree();
+  ASSERT_EQ(tree.size(), 3u);
+  EXPECT_EQ(tree[0].path, "a");
+  EXPECT_EQ(tree[1].path, "a;b");
+  EXPECT_EQ(tree[2].path, "a.x");
+  EXPECT_EQ(tree[1].name, "b");
+  EXPECT_EQ(tree[1].depth, 1);
+  EXPECT_EQ(tree[1].calls, 2u);
+  EXPECT_EQ(tree[1].total_ns, 10u);
+  EXPECT_EQ(tree[1].self_ns, 10u);
+  EXPECT_EQ(tree[1].dur_ms.count, 2u);
+  EXPECT_NEAR(tree[1].dur_ms.max, 6e-6, 1e-15);
 }
 
 TEST(ObsRegistry, InjectedClockDrivesTimestamps) {
@@ -339,10 +376,14 @@ TEST_F(ObsSpanTest, SpanRecordsDurationFromFakeClock) {
   EXPECT_EQ(events[0].ts_ns, 5000u);  // begin timestamp
   // Duration = 40000 explicit + 100 auto-tick between the two readings.
   EXPECT_DOUBLE_EQ(events[0].dur_ns, 40100.0);
-  // And the span histogram saw it (in ms).
-  const obs::Histogram& h = obs::registry().span_histogram("unit.outer");
-  EXPECT_EQ(h.count(), 1u);
-  EXPECT_NEAR(h.max(), 40100.0 / 1e6, 1e-12);
+  // And the span tree saw it (duration histogram in ms).
+  const auto tree = obs::registry().span_tree();
+  ASSERT_EQ(tree.size(), 1u);
+  EXPECT_EQ(tree[0].path, "unit.outer");
+  EXPECT_EQ(tree[0].calls, 1u);
+  EXPECT_EQ(tree[0].total_ns, 40100u);
+  EXPECT_EQ(tree[0].dur_ms.count, 1u);
+  EXPECT_NEAR(tree[0].dur_ms.max, 40100.0 / 1e6, 1e-12);
 }
 
 TEST_F(ObsSpanTest, SpansNestAndRecordDepth) {
@@ -375,7 +416,10 @@ TEST_F(ObsSpanTest, QuietSpanFeedsHistogramWithoutEvent) {
     ANALOCK_SPAN_QUIET("unit.hot");
   }
   EXPECT_TRUE(collector_->events().empty());
-  EXPECT_EQ(obs::registry().span_histogram("unit.hot").count(), 1u);
+  const auto tree = obs::registry().span_tree();
+  ASSERT_EQ(tree.size(), 1u);
+  EXPECT_EQ(tree[0].path, "unit.hot");
+  EXPECT_EQ(tree[0].dur_ms.count, 1u);
 }
 
 TEST_F(ObsSpanTest, DisabledRegistryRecordsNothing) {
@@ -387,12 +431,52 @@ TEST_F(ObsSpanTest, DisabledRegistryRecordsNothing) {
   }
   obs::registry().set_enabled(true);
   EXPECT_TRUE(collector_->events().empty());
-  // Registrations from earlier tests survive reset_values() by design;
-  // what matters is that the ghost span observed nothing anywhere.
-  for (const auto& [name, snap] : obs::registry().span_stats()) {
-    EXPECT_EQ(snap.count, 0u) << name;
-  }
+  // SetUp's reset_values() emptied the tree; the ghost span added
+  // nothing to it.
+  EXPECT_TRUE(obs::registry().span_tree().empty());
   EXPECT_EQ(obs::registry().counter("unit.ghost.counter").value(), 0u);
+}
+
+TEST_F(ObsSpanTest, SummaryRowsAndReportFollowTheTree) {
+  {
+    ANALOCK_SPAN_QUIET("unit.outer");
+    clock_.advance_ns(1000);
+    { ANALOCK_SPAN_QUIET("unit.inner"); }
+  }
+  obs::emit_summary_events(obs::registry());
+  std::vector<std::string> paths;
+  for (const auto& e : collector_->events()) {
+    ASSERT_STREQ(e.type, "summary");
+    paths.push_back(e.name);
+    bool has_self = false;
+    for (const auto& a : e.attrs) has_self = has_self || a.key == "self_ms";
+    EXPECT_TRUE(has_self) << e.name;
+  }
+  EXPECT_EQ(paths,
+            (std::vector<std::string>{"unit.outer", "unit.outer;unit.inner"}));
+
+  std::FILE* out = std::tmpfile();
+  ASSERT_NE(out, nullptr);
+  obs::print_report(obs::registry(), out);
+  const std::string text = slurp(out);
+  EXPECT_NE(text.find("\nunit.outer "), std::string::npos) << text;
+  EXPECT_NE(text.find("\n  unit.inner "), std::string::npos) << text;
+}
+
+// finish_run() ends the process's run exactly once, so only this test
+// may call it.
+TEST_F(ObsSpanTest, FinishRunReportsOnceAndDetachesTheSink) {
+  { ANALOCK_SPAN("unit.final"); }
+  std::FILE* out = std::tmpfile();
+  ASSERT_NE(out, nullptr);
+  obs::finish_run(out);
+  obs::finish_run(out);
+  EXPECT_FALSE(obs::registry().has_sink());
+  collector_ = nullptr;  // destroyed with the detached sink
+  const std::string text = slurp(out);
+  const std::size_t first = text.find("observability report");
+  ASSERT_NE(first, std::string::npos);
+  EXPECT_EQ(text.find("observability report", first + 1), std::string::npos);
 }
 
 TEST_F(ObsSpanTest, ConvergenceEmitsOnlyOnImprovement) {
@@ -522,7 +606,7 @@ TEST(ObsJsonl, EveryLineOfARealisticStreamParses) {
     reg.emit(e);
   }
   reg.counter("stream.counter").add(7);
-  reg.span_histogram("stream.span").observe(0.5);
+  reg.record_span("stream.span", "stream.span", 0, 500000, 500000, {});
   obs::emit_summary_events(reg);
 
   const auto events = collector->events();

@@ -15,6 +15,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <map>
 #include <memory>
 #include <string>
 #include <thread>
@@ -110,10 +111,11 @@ TEST(ObsStress, ConcurrentWritersKeepExactTotals) {
   EXPECT_TRUE(found_histogram);
 
   bool found_span = false;
-  for (const auto& [name, snap] : reg.span_stats()) {
-    if (name == "stress.inner") {
+  for (const analock::obs::SpanNode& node : reg.span_tree()) {
+    if (node.path == "stress.outer;stress.inner") {
       found_span = true;
-      EXPECT_EQ(snap.count, std::uint64_t{kThreads} * kItersPerThread);
+      EXPECT_EQ(node.calls, std::uint64_t{kThreads} * kItersPerThread);
+      EXPECT_EQ(node.dur_ms.count, node.calls);
     }
   }
   EXPECT_TRUE(found_span);
@@ -127,6 +129,52 @@ TEST(ObsStress, ConcurrentWritersKeepExactTotals) {
   EXPECT_EQ(ticks, std::size_t{kThreads} * ((kItersPerThread + 63) / 64));
   EXPECT_EQ(obs.collector().events().size(),
             ticks + std::size_t{kThreads} * kItersPerThread);
+}
+
+// Threads open differently shaped nested stacks at once. Each thread's
+// frame stack is its own, so every path's call count is exact, and no
+// node can report more self time than total time.
+TEST(ObsStress, NestedSpansFromManyThreadsFoldIntoExactTree) {
+  ScopedObs obs;
+  Registry& reg = analock::obs::registry();
+  reg.set_sink(nullptr);  // per-call span events are not under test here
+  reg.reset_values();
+
+  std::vector<std::thread> workers;
+  workers.reserve(kThreads);
+  for (unsigned t = 0; t < kThreads; ++t) {
+    workers.emplace_back([t] {
+      for (unsigned i = 0; i < kItersPerThread; ++i) {
+        ANALOCK_SPAN_QUIET("tree.root");
+        {
+          ANALOCK_SPAN_QUIET("tree.mid");
+          { ANALOCK_SPAN_QUIET("tree.leaf"); }
+          if (t % 2 == 0) { ANALOCK_SPAN_QUIET("tree.leaf"); }
+        }
+        if (i % 4 == 0) { ANALOCK_SPAN("tree.side"); }
+      }
+    });
+  }
+  for (auto& w : workers) w.join();
+
+  const std::uint64_t iters = std::uint64_t{kThreads} * kItersPerThread;
+  const std::uint64_t even_threads = (kThreads + 1) / 2;
+  const std::map<std::string, std::uint64_t> expected = {
+      {"tree.root", iters},
+      {"tree.root;tree.mid", iters},
+      {"tree.root;tree.mid;tree.leaf",
+       iters + even_threads * kItersPerThread},
+      {"tree.root;tree.side",
+       std::uint64_t{kThreads} * ((kItersPerThread + 3) / 4)},
+  };
+  std::map<std::string, std::uint64_t> seen;
+  for (const analock::obs::SpanNode& node : reg.span_tree()) {
+    seen[node.path] = node.calls;
+    EXPECT_LE(node.self_ns, node.total_ns) << node.path;
+    EXPECT_EQ(node.dur_ms.count, node.calls) << node.path;
+  }
+  EXPECT_EQ(seen, expected);
+  EXPECT_EQ(analock::obs::TraceSpan::current_depth(), 0);
 }
 
 // Chaos phase: snapshot readers, reset_values, flush, enable/disable
@@ -157,7 +205,7 @@ TEST(ObsStress, ReadersResetsAndSinkSwapsAgainstWriters) {
       (void)reg.counters();
       (void)reg.gauges();
       (void)reg.histograms();
-      (void)reg.span_stats();
+      (void)reg.span_tree();
       (void)reg.has_sink();
       reg.flush();
     }

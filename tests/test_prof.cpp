@@ -133,25 +133,22 @@ class ProfSpanTest : public ::testing::Test {
  protected:
   void SetUp() override {
     obs::Registry& reg = obs::registry();
+    reg.reset_values();
     reg.set_enabled(true);
     reg.set_clock(&clock_);
   }
 
   void TearDown() override {
-    prof::SpanProfiler::detach();
     obs::Registry& reg = obs::registry();
     reg.set_clock(nullptr);
     reg.set_enabled(false);
+    reg.reset_values();
   }
 
   obs::FakeClock clock_{100};  // each reading advances 100 ns
 };
 
 TEST_F(ProfSpanTest, FoldsNestedSpansWithSelfVsTotal) {
-  prof::SpanProfiler profiler;
-  profiler.attach();
-  ASSERT_EQ(prof::SpanProfiler::current(), &profiler);
-
   for (int i = 0; i < 2; ++i) {
     ANALOCK_SPAN("prof.outer");
     clock_.advance_ns(1000);
@@ -161,10 +158,8 @@ TEST_F(ProfSpanTest, FoldsNestedSpansWithSelfVsTotal) {
     }
     clock_.advance_ns(1000);
   }
-  prof::SpanProfiler::detach();
-  EXPECT_EQ(prof::SpanProfiler::current(), nullptr);
 
-  const auto nodes = profiler.nodes();
+  const auto nodes = obs::registry().span_tree();
   ASSERT_EQ(nodes.size(), 2u);
   const auto& outer = nodes[0];
   const auto& inner = nodes[1];
@@ -180,34 +175,33 @@ TEST_F(ProfSpanTest, FoldsNestedSpansWithSelfVsTotal) {
   // A leaf's self time is its total; the parent's self time excludes the
   // child's total but keeps its own two 1000 ns phases (plus the fixed
   // clock readings, which the FakeClock auto-tick makes deterministic).
-  EXPECT_DOUBLE_EQ(inner.self_ns, inner.total_ns);
-  EXPECT_GT(inner.total_ns, 2 * 5000.0 - 1.0);
+  EXPECT_EQ(inner.self_ns, inner.total_ns);
+  EXPECT_GE(inner.total_ns, 2u * 5000u);
   EXPECT_GT(outer.total_ns, inner.total_ns);
-  EXPECT_DOUBLE_EQ(outer.self_ns, outer.total_ns - inner.total_ns);
-
-  const std::string folded = profiler.folded_stacks();
-  EXPECT_NE(folded.find("prof.outer "), std::string::npos);
-  EXPECT_NE(folded.find("prof.outer;prof.inner "), std::string::npos);
+  EXPECT_EQ(outer.self_ns, outer.total_ns - inner.total_ns);
 }
 
+// Spans outside a harness's measured reps stay out of its profile and
+// folded stacks, though the registry's whole-run tree has them.
 TEST_F(ProfSpanTest, DetachedProfilerRecordsNothing) {
-  prof::SpanProfiler profiler;
   {
     ANALOCK_SPAN("prof.unattached");
     clock_.advance_ns(500);
   }
-  EXPECT_TRUE(profiler.nodes().empty());
-  EXPECT_TRUE(profiler.folded_stacks().empty());
+  prof::Harness h("test_prof_detached");
+  h.add_case("quiet", [] {});
+  EXPECT_EQ(h.run(), 0);
+  EXPECT_TRUE(h.profile().empty());
+  EXPECT_TRUE(h.folded().empty());
+  ASSERT_EQ(obs::registry().span_tree().size(), 1u);
+  EXPECT_EQ(obs::registry().span_tree()[0].path, "prof.unattached");
 }
 
 TEST_F(ProfSpanTest, ResetDropsAggregatedNodes) {
-  prof::SpanProfiler profiler;
-  profiler.attach();
   { ANALOCK_SPAN("prof.reset"); }
-  prof::SpanProfiler::detach();
-  EXPECT_EQ(profiler.nodes().size(), 1u);
-  profiler.reset();
-  EXPECT_TRUE(profiler.nodes().empty());
+  EXPECT_EQ(obs::registry().span_tree().size(), 1u);
+  obs::registry().reset_values();
+  EXPECT_TRUE(obs::registry().span_tree().empty());
 }
 
 // --------------------------------------------------------------- harness
@@ -256,14 +250,28 @@ TEST_F(ProfHarnessTest, RunsPinnedRepsWithDeterministicStats) {
 }
 
 TEST_F(ProfHarnessTest, WarmupOptionOverridesEnvAndSkipsProfile) {
+  obs::registry().reset_values();
   prof::Harness h("test_prof_warmup");
   int calls = 0;
   prof::CaseOptions opts;
   opts.warmup = 2;
-  h.add_case("warm", [&calls] { ++calls; }, opts);
+  h.add_case("warm", [&calls] {
+    ANALOCK_SPAN("prof.warm");
+    ++calls;
+  }, opts);
   EXPECT_EQ(h.run(), 0);
   EXPECT_EQ(calls, 2 + 3);  // two warmups + three measured reps
   EXPECT_EQ(h.results()[0].warmups, 2);
+
+  // The profile holds the measured reps only; the whole-run tree also
+  // counts the warmups.
+  const auto profile = h.profile();
+  ASSERT_EQ(profile.size(), 1u);
+  EXPECT_EQ(profile[0].path, "prof.warm");
+  EXPECT_EQ(profile[0].calls, 3u);
+  const auto tree = obs::registry().span_tree();
+  ASSERT_EQ(tree.size(), 1u);
+  EXPECT_EQ(tree[0].calls, 5u);
 }
 
 TEST_F(ProfHarnessTest, JsonDocumentStructure) {

@@ -11,6 +11,11 @@ MAD). A case only counts as a regression when BOTH hold:
     consistency constant for normal data); runs whose medians sit within
     each other's noise are reported as "ok (noise)".
 
+The baseline side must be a measurement: every case needs at least one
+warmup and five measured reps, and every baseline file must carry the
+same env.git_sha. A baseline that breaks either rule is refused (exit 2)
+before anything is compared.
+
 Prints a markdown table (one row per matched case, plus rows for cases
 that appear on only one side) and exits non-zero when any regression was
 found, unless --warn-only is given. Counter medians (cycles,
@@ -31,6 +36,8 @@ import os
 import sys
 
 MAD_TO_SIGMA = 1.4826  # consistency constant for normally distributed data
+MIN_BASELINE_WARMUPS = 1
+MIN_BASELINE_REPS = 5
 
 
 def fail(msg: str) -> None:
@@ -39,8 +46,11 @@ def fail(msg: str) -> None:
 
 
 def load_side(paths):
-    """Maps (bench, case) -> case dict for every artifact in `paths`."""
+    """Maps (bench, case) -> case dict for every artifact in `paths`.
+
+    Also returns {path: env.git_sha} for the files loaded."""
     cases = {}
+    shas = {}
     files = []
     for path in paths:
         if os.path.isdir(path):
@@ -61,6 +71,7 @@ def load_side(paths):
         bench = doc.get("bench")
         if not isinstance(bench, str):
             fail(f"{path}: missing bench name")
+        shas[path] = doc.get("env", {}).get("git_sha")
         for case in doc.get("cases", []):
             key = (bench, case.get("name"))
             if key in cases:
@@ -68,7 +79,22 @@ def load_side(paths):
             cases[key] = case
     if not cases:
         fail("no cases loaded")
-    return cases
+    return cases, shas
+
+
+def check_baseline(cases, shas):
+    """Refuses a baseline that is not a measurement at one commit."""
+    if len(set(shas.values())) != 1:
+        listing = ", ".join(f"{os.path.basename(p)}={s}"
+                            for p, s in sorted(shas.items()))
+        fail(f"baseline files disagree on git_sha: {listing}")
+    for (bench, name), case in sorted(cases.items()):
+        warmups = case.get("warmups", 0)
+        reps = case.get("wall_ms", {}).get("n", 0)
+        if warmups < MIN_BASELINE_WARMUPS or reps < MIN_BASELINE_REPS:
+            fail(f"baseline case {bench}:{name} has {warmups} warmups and "
+                 f"{reps} reps; a baseline needs >= {MIN_BASELINE_WARMUPS} "
+                 f"warmup and >= {MIN_BASELINE_REPS} reps")
 
 
 def median_of(case, counter=None):
@@ -160,8 +186,9 @@ def main() -> None:
                         help="always exit 0; report regressions only")
     args = parser.parse_args()
 
-    base = load_side([args.baseline])
-    cand = load_side([args.candidate])
+    base, base_shas = load_side([args.baseline])
+    check_baseline(base, base_shas)
+    cand, _ = load_side([args.candidate])
 
     rows = []
     regressions = 0

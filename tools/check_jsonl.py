@@ -9,8 +9,9 @@ artifact is well-formed:
   * every line carries the required fields: ts_ns (non-negative int),
     type ("span" | "event" | "summary"), name (non-empty string);
   * span lines carry a non-negative dur_ns;
-  * there is at least one summary line of kind "span" with calls >= 1
-    and both p50_ms and p95_ms present (the per-span timing summary);
+  * there is at least one summary line of kind "span" (one per node of
+    the span tree, named by its path) with calls >= 1, numeric
+    total_ms, self_ms, p50_ms and p95_ms, and self_ms <= total_ms;
   * attack.convergence events per attack have strictly increasing
     best_score and non-decreasing query counts (the convergence curve
     the attack benches are meant to record); a drop in the query count
@@ -18,6 +19,10 @@ artifact is well-formed:
     Benches that run no attacks (e.g. the fault-resilience sweep) pass
     --no-convergence to skip this requirement; convergence events that
     do appear are still validated.
+
+The bench runs with ANALOCK_OBS_REPORT=1 and its stdout must carry
+exactly one "observability report" header: the run report is printed
+once, however the end of the run is reached.
 
 A missing artifact, a zero-byte artifact, or an artifact with no records
 all fail with a non-zero exit code; parse errors report the offending
@@ -47,6 +52,7 @@ import sys
 import tempfile
 
 REQUIRED_TYPES = {"span", "event", "summary"}
+REPORT_HEADER = "observability report"
 
 
 def fail(msg: str) -> None:
@@ -105,9 +111,12 @@ def validate_artifact(path: str, require_convergence: bool = True) -> None:
         calls = attrs.get("calls")
         if not isinstance(calls, int) or calls < 1:
             fail(f"span summary {r['name']!r}: calls must be >= 1, got {calls!r}")
-        for key in ("total_ms", "p50_ms", "p95_ms"):
+        for key in ("total_ms", "self_ms", "p50_ms", "p95_ms"):
             if not isinstance(attrs.get(key), (int, float)):
                 fail(f"span summary {r['name']!r}: missing numeric {key}")
+        if attrs["self_ms"] > attrs["total_ms"] + 1e-6:
+            fail(f"span summary {r['name']!r}: self_ms {attrs['self_ms']} "
+                 f"exceeds total_ms {attrs['total_ms']}")
 
     # Convergence curves: per attack, best_score strictly improves and the
     # query count never goes backwards.
@@ -336,6 +345,7 @@ def main() -> None:
     with tempfile.TemporaryDirectory(prefix="analock_obs_") as scratch:
         env = dict(os.environ)
         env["ANALOCK_BENCH_TRIALS"] = trials
+        env["ANALOCK_OBS_REPORT"] = "1"
         env.pop("ANALOCK_OBS_JSONL", None)  # let the bench pick its own path
         env.pop("ANALOCK_BENCH_JSON", None)
         proc = subprocess.run(
@@ -345,6 +355,10 @@ def main() -> None:
         if proc.returncode != 0:
             sys.stderr.write(proc.stdout[-4000:])
             fail(f"bench exited with code {proc.returncode}")
+        reports = proc.stdout.count(REPORT_HEADER)
+        if reports != 1:
+            fail(f"expected exactly one {REPORT_HEADER!r} header in the "
+                 f"bench's stdout, got {reports}")
         artifact = os.path.join(scratch, artifact_name)
         if not os.path.exists(artifact):
             fail(f"bench did not write {artifact_name} "
