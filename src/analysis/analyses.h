@@ -4,6 +4,8 @@
 // fingerprints, and ordering.
 #pragma once
 
+#include <map>
+#include <string>
 #include <string_view>
 #include <vector>
 
@@ -72,8 +74,7 @@ void run_fp_exact_analysis(const std::vector<ParsedFile>& files,
 /// `// analock: declassified(reason)` marks an audited deliberate
 /// release on its line and the line below.
 void run_ct_flow_analysis(const std::vector<ParsedFile>& files,
-                          const CallGraph& graph, int max_depth,
-                          std::vector<Finding>& out);
+                          const CallGraph& graph, std::vector<Finding>& out);
 
 /// Per-file token rules with no dataflow: ambient clock reads
 /// (determinism-clock), early-exit ==/!= on key material
@@ -87,9 +88,48 @@ void run_token_rules(const SourceFile& source, std::vector<Finding>& out);
 /// secret-compare).
 [[nodiscard]] bool is_secret_identifier(std::string_view identifier);
 
+/// True for the member accessors that expose raw key words: bits and
+/// to_hex.
+[[nodiscard]] bool is_raw_key_accessor(std::string_view name);
+
 /// True when `text` calls a raw-key accessor: .bits( / ->bits( /
 /// .to_hex( / ->to_hex(.
 [[nodiscard]] bool has_secret_accessor(std::string_view text);
+
+/// True for the member accessors whose result is public by policy:
+/// length and presence (size, empty, has_value, length, capacity).
+[[nodiscard]] bool is_public_shape_accessor(std::string_view name);
+
+/// class -> `// analock: guarded_by(m)` member -> m, unioned across all
+/// TUs (annotations live in headers; accesses live in both headers and
+/// .cpp files).
+using GuardedMembers =
+    std::map<std::string, std::map<std::string, std::string>>;
+[[nodiscard]] GuardedMembers guarded_members(
+    const std::vector<ParsedFile>& files);
+
+/// True when a lock scope of `fn` on `mutex_name` is live at `offset`.
+/// The lock argument may reach the mutex through an object: "mu_",
+/// "this->mu_" and "other.mu_" all name mu_.
+[[nodiscard]] bool held_at(const FunctionDef& fn, const std::string& mutex_name,
+                           std::size_t offset);
+
+/// One concurrent scope of a function: a parallel_for lambda body, or the
+/// whole body of a `// analock: parallel_region` function.
+struct ConcurrentScope {
+  std::size_t begin = 0;
+  std::size_t end = 0;
+  const ParallelRegion* lambda = nullptr;  ///< null for annotated fns
+
+  [[nodiscard]] bool contains(std::size_t offset) const {
+    return begin <= offset && offset < end;
+  }
+};
+
+/// The non-empty concurrent scopes of `fn`: its lambdas, then its whole
+/// body when it is annotated.
+[[nodiscard]] std::vector<ConcurrentScope> concurrent_scopes(
+    const FunctionDef& fn);
 
 /// True for the std <random> engine type names (mt19937, ...).
 [[nodiscard]] bool is_std_engine_name(std::string_view name);

@@ -47,7 +47,6 @@
 // `x.has_value()` chains are stripped before tainting, mirroring
 // ct_equal's own early length check.
 #include <algorithm>
-#include <cctype>
 #include <map>
 #include <set>
 #include <string>
@@ -57,6 +56,8 @@
 namespace analock::analysis {
 
 namespace {
+
+constexpr int kMaxRounds = 8;
 
 /// True for member-call names that collide with the std:: vocabulary
 /// (atomic load/store, smart-pointer get, optional value, ...). Such
@@ -79,31 +80,14 @@ bool is_opaque_member_call(const CallSite& call) {
 /// judged by its summary, because a function merely *named*
 /// install_wrapped_key is not itself key material.
 std::string first_secret_name(std::string_view expr) {
-  std::size_t i = 0;
-  const std::size_t n = expr.size();
-  while (i < n) {
-    const char c = expr[i];
-    if (std::isalpha(static_cast<unsigned char>(c)) == 0 && c != '_') {
-      ++i;
-      continue;
-    }
-    std::size_t j = i + 1;
-    while (j < n && (std::isalnum(static_cast<unsigned char>(expr[j])) !=
-                         0 ||
-                     expr[j] == '_')) {
-      ++j;
-    }
-    std::size_t k = j;
-    while (k < n && std::isspace(static_cast<unsigned char>(expr[k])) != 0) {
-      ++k;
-    }
-    const bool is_callee = k < n && expr[k] == '(';
-    if (!is_callee && is_secret_identifier(expr.substr(i, j - i))) {
-      return std::string(expr.substr(i, j - i));
-    }
-    i = j;
-  }
-  return {};
+  std::string witness;
+  for_each_identifier(expr, [&](std::string_view ident, std::size_t begin) {
+    const std::size_t next = skip_space(expr, begin + ident.size());
+    const bool is_callee = next < expr.size() && expr[next] == '(';
+    if (!is_callee && is_secret_identifier(ident)) witness = ident;
+    return witness.empty();
+  });
+  return witness;
 }
 
 /// Per-function constant-time summary, fixed-pointed over the call
@@ -121,7 +105,7 @@ struct CtSummary {
 struct CtContext {
   const CallGraph* graph = nullptr;
   std::map<const FunctionDef*, CtSummary> summaries;
-  std::set<std::string> blessed;  ///< ct_safe base names + ct_equal
+  std::set<std::string, std::less<>> blessed;  ///< ct_safe + ct_equal
   /// Lines (and the line below each) carrying a non-empty
   /// `// analock: declassified(reason)`.
   std::map<const SourceFile*, std::set<int>> declassified;
@@ -140,7 +124,7 @@ std::size_t chain_start(std::string_view text, std::size_t pos) {
   std::size_t p = pos;
   while (p > 0) {
     const char c = text[p - 1];
-    if (std::isalnum(static_cast<unsigned char>(c)) != 0 || c == '_') {
+    if (is_word_char(c)) {
       --p;
       continue;
     }
@@ -179,118 +163,46 @@ std::size_t chain_start(std::string_view text, std::size_t pos) {
 /// functions) and public-shape accessor chains (`x.size()`,
 /// `x.has_value()`, ...) so their operands don't register as taint: the
 /// comparator's boolean result and container lengths/presence are
-/// sanctioned releases.
+/// sanctioned releases. Accessors count only with an empty argument
+/// list: `.count(key)` stays a lookup.
 std::string strip_sanctioned(std::string_view expr, const CtContext& ctx) {
   std::string text(expr);
-  const auto blank_range = [&text](std::size_t from, std::size_t to) {
-    for (std::size_t k = from; k < to && k < text.size(); ++k) {
-      text[k] = ' ';
+  for_each_call(text, [&](const TextCall& call) {
+    std::size_t close = text.size();
+    if (ctx.blessed.count(call.name) > 0) {
+      close = close_paren(text, call.open);
+    } else if (call.member && is_public_shape_accessor(call.name)) {
+      const std::size_t next = skip_space(text, call.open + 1);
+      if (next < text.size() && text[next] == ')') close = next;
     }
-  };
-  const auto blank_call_at = [&](std::size_t name_pos,
-                                 std::size_t name_end) {
-    std::size_t k = name_end;
-    while (k < text.size() &&
-           std::isspace(static_cast<unsigned char>(text[k])) != 0) {
-      ++k;
+    if (close < text.size()) {
+      for (std::size_t k = chain_start(text, call.begin); k <= close; ++k) {
+        text[k] = ' ';
+      }
     }
-    if (k >= text.size() || text[k] != '(') return false;
-    int d = 0;
-    std::size_t close = k;
-    for (; close < text.size(); ++close) {
-      if (text[close] == '(') ++d;
-      if (text[close] == ')' && --d == 0) break;
-    }
-    if (close >= text.size()) return false;
-    blank_range(chain_start(text, name_pos), close + 1);
     return true;
-  };
-
-  for (const std::string& name : ctx.blessed) {
-    std::size_t pos = 0;
-    while ((pos = text.find(name, pos)) != std::string::npos) {
-      const bool left_ok =
-          pos == 0 || (std::isalnum(static_cast<unsigned char>(
-                           text[pos - 1])) == 0 &&
-                       text[pos - 1] != '_');
-      const std::size_t end = pos + name.size();
-      const bool right_ok =
-          end >= text.size() ||
-          (std::isalnum(static_cast<unsigned char>(text[end])) == 0 &&
-           text[end] != '_');
-      if (!left_ok || !right_ok || !blank_call_at(pos, end)) {
-        pos = end;
-      }
-      // On success the region was blanked; rescans find nothing there.
-    }
-  }
-
-  for (const std::string_view acc :
-       {"size", "empty", "has_value", "length", "capacity"}) {
-    std::size_t pos = 0;
-    while ((pos = text.find(acc, pos)) != std::string::npos) {
-      const std::size_t end = pos + acc.size();
-      const bool member = (pos >= 1 && text[pos - 1] == '.') ||
-                          (pos >= 2 && text[pos - 2] == '-' &&
-                           text[pos - 1] == '>');
-      std::size_t k = end;
-      while (k < text.size() &&
-             std::isspace(static_cast<unsigned char>(text[k])) != 0) {
-        ++k;
-      }
-      // Empty argument list only: `.count(key)` stays a lookup.
-      std::size_t close = k;
-      if (k < text.size() && text[k] == '(') {
-        close = k + 1;
-        while (close < text.size() &&
-               std::isspace(static_cast<unsigned char>(text[close])) != 0) {
-          ++close;
-        }
-      }
-      if (member && close < text.size() && text[close] == ')') {
-        blank_range(chain_start(text, pos), close + 1);
-      }
-      pos = end;
-    }
-  }
+  });
   return text;
 }
 
 /// Non-empty witness when `expr` (already stripped of sanctioned
 /// subexpressions) carries key material: a secret-named identifier, a
-/// raw-word accessor, or a call whose summary says it returns secrets.
+/// raw-word accessor, or the first call whose summary says it returns
+/// secrets.
 std::string ct_witness_stripped(std::string_view expr,
                                 const CtContext& ctx) {
-  const std::string named = first_secret_name(expr);
-  if (!named.empty()) return named;
+  std::string witness = first_secret_name(expr);
+  if (!witness.empty()) return witness;
   if (has_secret_accessor(expr)) return "bits()/to_hex() accessor";
 
-  for (const auto& [def, summary] : ctx.summaries) {
-    if (!summary.returns_tainted) continue;
-    std::size_t pos = 0;
-    while ((pos = expr.find(def->base_name, pos)) !=
-           std::string_view::npos) {
-      const std::size_t end = pos + def->base_name.size();
-      const bool left_ok =
-          pos == 0 || (std::isalnum(static_cast<unsigned char>(
-                           expr[pos - 1])) == 0 &&
-                       expr[pos - 1] != '_');
-      const bool member =
-          (pos >= 1 && expr[pos - 1] == '.') ||
-          (pos >= 2 && expr[pos - 2] == '-' && expr[pos - 1] == '>');
-      std::size_t k = end;
-      while (k < expr.size() &&
-             std::isspace(static_cast<unsigned char>(expr[k])) != 0) {
-        ++k;
-      }
-      if (left_ok && k < expr.size() && expr[k] == '(' &&
-          !(member && is_std_vocab_name(def->base_name))) {
-        return def->base_name + "() returns key material";
-      }
-      pos = end;
-    }
-  }
-  return {};
+  ctx.graph->for_each_callee_in(expr, [&](const TextCall& call,
+                                          const FunctionRef& ref) {
+    if (call.member && is_std_vocab_name(call.name)) return true;
+    if (!ctx.summaries.at(&ref.def()).returns_tainted) return true;
+    witness = std::string(call.name) + "() returns key material";
+    return false;
+  });
+  return witness;
 }
 
 std::string ct_witness(std::string_view expr, const CtContext& ctx) {
@@ -372,22 +284,14 @@ void collect_declassified(const std::vector<ParsedFile>& files,
       if (close == std::string_view::npos) continue;
       // An empty reason is not an audit trail: the annotation is
       // ignored so the finding still surfaces.
-      bool has_reason = false;
-      for (std::size_t k = open; k < close; ++k) {
-        if (std::isspace(static_cast<unsigned char>(text[k])) == 0) {
-          has_reason = true;
-          break;
-        }
-      }
-      if (!has_reason) continue;
+      if (skip_space(text.substr(0, close), open) == close) continue;
       lines.insert(line);
       lines.insert(line + 1);
     }
   }
 }
 
-void compute_summaries(const CallGraph& graph, int max_depth,
-                       CtContext& ctx) {
+void compute_summaries(const CallGraph& graph, CtContext& ctx) {
   // Blessed names first: witnesses during initialization already need
   // the full set.
   ctx.blessed.insert("ct_equal");
@@ -465,10 +369,9 @@ void compute_summaries(const CallGraph& graph, int max_depth,
 
   // Fixed point: compose returns-secret through return-expression call
   // chains, and param flows through argument passing. Monotone boolean
-  // facts, so the loop terminates; max_depth bounds the rounds as a
-  // safety valve against resolver ambiguity blowups.
-  const int rounds = std::max(max_depth, 8);
-  for (int round = 0; round < rounds; ++round) {
+  // facts, so the loop terminates; the round cap is a safety valve
+  // against resolver ambiguity blowups.
+  for (int round = 0; round < kMaxRounds; ++round) {
     bool changed = false;
     for (const FunctionRef& ref : graph.all()) {
       const FunctionDef& fn = ref.def();
@@ -533,39 +436,29 @@ void report(const std::vector<ParsedFile>& files, const CtContext& ctx,
             std::vector<Finding>& out) {
   for (const ParsedFile& file : files) {
     const SourceFile& source = *file.source;
+    const std::size_t first = out.size();
     for (const FunctionDef& fn : file.functions) {
       if (fn.is_ct_safe) continue;
-
-      const auto add = [&](std::size_t offset, const char* rule,
-                           std::string message) {
-        if (ctx.is_declassified(source, offset)) return;
-        Finding f;
-        f.file = source.path;
-        f.line = source.line_of(offset);
-        f.col = source.col_of(offset);
-        f.rule = rule;
-        f.message = std::move(message);
-        out.push_back(std::move(f));
-      };
 
       for (const BranchText& b : branch_texts(fn)) {
         const std::string witness = ct_witness(b.text, ctx);
         if (witness.empty()) continue;
-        add(b.offset, "secret-branch",
-            std::string("key material (") + witness + ") decides a " +
-                b.kind +
+        out.push_back(make_finding(
+            source, b.offset, "secret-branch",
+            "key material (" + witness + ") decides a " + b.kind +
                 " condition; timing reveals the secret — restructure "
                 "branch-free (ct_equal / masked select) or annotate "
-                "'// analock: declassified(reason)'");
+                "'// analock: declassified(reason)'"));
       }
 
       for (const SubscriptSite& sub : fn.subscripts) {
         const std::string witness = ct_witness(sub.index_text, ctx);
         if (witness.empty()) continue;
-        add(sub.offset, "secret-index",
-            std::string("key material (") + witness +
+        out.push_back(make_finding(
+            source, sub.offset, "secret-index",
+            "key material (" + witness +
                 ") used as a subscript; the memory access pattern leaks "
-                "the key through cache timing");
+                "the key through cache timing"));
       }
       // Pointer arithmetic on secrets: a pointer-typed local whose
       // initializer offsets by key material.
@@ -578,46 +471,43 @@ void report(const std::vector<ParsedFile>& files, const CtContext& ctx,
         }
         const std::string witness = ct_witness(local.init, ctx);
         if (witness.empty()) continue;
-        add(local.offset, "secret-index",
-            std::string("key material (") + witness +
+        out.push_back(make_finding(
+            source, local.offset, "secret-index",
+            "key material (" + witness +
                 ") used as a pointer offset; the memory access pattern "
-                "leaks the key through cache timing");
+                "leaks the key through cache timing"));
       }
 
       for (const DivModSite& dm : fn.divmods) {
-        const std::string witness =
-            ct_witness(dm.lhs + " " + dm.rhs, ctx);
+        const std::string witness = ct_witness(dm.lhs + " " + dm.rhs, ctx);
         if (witness.empty()) continue;
-        add(dm.offset, "vartime-op",
-            std::string("variable-time division/modulo on key material "
-                        "(") +
-                witness + "); hardware divide latency is operand-"
-                "dependent — use branch-free arithmetic");
+        out.push_back(make_finding(
+            source, dm.offset, "vartime-op",
+            "variable-time division/modulo on key material (" + witness +
+                "); hardware divide latency is operand-dependent — use "
+                "branch-free arithmetic"));
       }
       for (const LoopSite& loop : fn.loops) {
         const std::string witness = ct_witness(loop.bound_text, ctx);
         if (witness.empty()) continue;
-        add(loop.offset, "vartime-op",
-            std::string("loop trip count bounded by key material (") +
-                witness + "); iteration count is observable timing");
+        out.push_back(make_finding(
+            source, loop.offset, "vartime-op",
+            "loop trip count bounded by key material (" + witness +
+                "); iteration count is observable timing"));
         for (const ReturnExpr& ret : fn.returns) {
           if (ret.offset > loop.body_begin && ret.offset < loop.body_end) {
-            add(ret.offset, "vartime-op",
-                std::string("early return inside a loop over key "
-                            "material (") +
-                    witness +
-                    "); exit position reveals how far the secret "
-                    "matched");
+            out.push_back(make_finding(
+                source, ret.offset, "vartime-op",
+                "early return inside a loop over key material (" + witness +
+                    "); exit position reveals how far the secret matched"));
           }
         }
         for (const std::size_t brk : fn.break_offsets) {
           if (brk > loop.body_begin && brk < loop.body_end) {
-            add(brk, "vartime-op",
-                std::string("early break inside a loop over key "
-                            "material (") +
-                    witness +
-                    "); exit position reveals how far the secret "
-                    "matched");
+            out.push_back(make_finding(
+                source, brk, "vartime-op",
+                "early break inside a loop over key material (" + witness +
+                    "); exit position reveals how far the secret matched"));
           }
         }
       }
@@ -632,10 +522,11 @@ void report(const std::vector<ParsedFile>& files, const CtContext& ctx,
           }
           const std::string witness = ct_witness(probe, ctx);
           if (!witness.empty()) {
-            add(call.offset, "ct-leak-call",
-                std::string("key material (") + witness +
+            out.push_back(make_finding(
+                source, call.offset, "ct-leak-call",
+                "key material (" + witness +
                     ") passed to variable-time callee " + call.callee +
-                    "; use analock::ct_equal or a fixed-shape scan");
+                    "; use analock::ct_equal or a fixed-shape scan"));
           }
           continue;
         }
@@ -652,25 +543,27 @@ void report(const std::vector<ParsedFile>& files, const CtContext& ctx,
             const std::string witness = ct_witness(call.args[a], ctx);
             if (witness.empty()) continue;
             if (cs.to_branch[a] != 0) {
-              add(call.offset, "secret-branch",
-                  std::string("key material (") + witness +
+              out.push_back(make_finding(
+                  source, call.offset, "secret-branch",
+                  "key material (" + witness +
                       ") reaches a branch through call chain " +
-                      cs.branch_via[a]);
+                      cs.branch_via[a]));
               reported = true;
             }
             if (cs.to_index[a] != 0) {
-              add(call.offset, "secret-index",
-                  std::string("key material (") + witness +
+              out.push_back(make_finding(
+                  source, call.offset, "secret-index",
+                  "key material (" + witness +
                       ") reaches a subscript through call chain " +
-                      cs.index_via[a]);
+                      cs.index_via[a]));
               reported = true;
             }
             if (cs.to_vartime[a] != 0) {
-              add(call.offset, "vartime-op",
-                  std::string("key material (") + witness +
-                      ") reaches a variable-time op through call "
-                      "chain " +
-                      cs.vartime_via[a]);
+              out.push_back(make_finding(
+                  source, call.offset, "vartime-op",
+                  "key material (" + witness +
+                      ") reaches a variable-time op through call chain " +
+                      cs.vartime_via[a]));
               reported = true;
             }
             if (reported) break;
@@ -679,18 +572,30 @@ void report(const std::vector<ParsedFile>& files, const CtContext& ctx,
         }
       }
     }
+    // A declassified line releases everything reported on it.
+    const std::set<int>& released = ctx.declassified.at(&source);
+    out.erase(std::remove_if(out.begin() + static_cast<std::ptrdiff_t>(first),
+                             out.end(),
+                             [&released](const Finding& f) {
+                               return released.count(f.line) > 0;
+                             }),
+              out.end());
   }
 }
 
 }  // namespace
 
+bool is_public_shape_accessor(std::string_view name) {
+  return name == "size" || name == "empty" || name == "has_value" ||
+         name == "length" || name == "capacity";
+}
+
 void run_ct_flow_analysis(const std::vector<ParsedFile>& files,
-                          const CallGraph& graph, int max_depth,
-                          std::vector<Finding>& out) {
+                          const CallGraph& graph, std::vector<Finding>& out) {
   CtContext ctx;
   ctx.graph = &graph;
   collect_declassified(files, ctx);
-  compute_summaries(graph, max_depth, ctx);
+  compute_summaries(graph, ctx);
   report(files, ctx, out);
 }
 

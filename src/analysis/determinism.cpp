@@ -106,16 +106,12 @@ void run_determinism_analysis(const std::vector<ParsedFile>& files,
                 assign.lhs.find("total") != std::string::npos ||
                 assign.lhs.find("acc") != std::string::npos;
             if (!float_acc) continue;
-            Finding f;
-            f.file = source.path;
-            f.line = source.line_of(assign.offset);
-            f.col = source.col_of(assign.offset);
-            f.rule = "fp-unordered-accum";
-            f.message = "floating-point accumulator '" + assign.lhs +
-                        "' updated while iterating an unordered "
-                        "container; the sum depends on hash iteration "
-                        "order — use std::map/std::set or sort first";
-            out.push_back(std::move(f));
+            out.push_back(make_finding(
+                source, assign.offset, "fp-unordered-accum",
+                "floating-point accumulator '" + assign.lhs +
+                    "' updated while iterating an unordered container; "
+                    "the sum depends on hash iteration order — use "
+                    "std::map/std::set or sort first"));
           }
         }
       }
@@ -125,19 +121,14 @@ void run_determinism_analysis(const std::vector<ParsedFile>& files,
         if (!local.init.empty() && seed_is_sim_derived(local.init)) {
           continue;
         }
-        Finding f;
-        f.file = source.path;
-        f.line = source.line_of(local.offset);
-        f.col = source.col_of(local.offset);
-        f.rule = "rng-source";
-        f.message = "std <random> engine '" + local.name + "' is " +
-                    (local.init.empty()
-                         ? std::string("default-seeded")
-                         : std::string("seeded from a non-sim::Rng "
-                                       "source")) +
-                    "; derive the seed from a named sim::Rng stream "
-                    "(Rng::fork)";
-        out.push_back(std::move(f));
+        out.push_back(make_finding(
+            source, local.offset, "rng-source",
+            "std <random> engine '" + local.name + "' is " +
+                (local.init.empty()
+                     ? std::string("default-seeded")
+                     : std::string("seeded from a non-sim::Rng source")) +
+                "; derive the seed from a named sim::Rng stream "
+                "(Rng::fork)"));
       }
     }
   }

@@ -16,6 +16,10 @@ namespace analock::analysis {
 
 namespace {
 
+/// Call-chain depth of taint propagation and of the parallel pass's
+/// mutable-static reachability.
+constexpr int kMaxDepth = 4;
+
 /// Inline allows per file: 1-based line -> suppressed rules. An allow
 /// comment covers its own line and the line directly below.
 std::map<int, std::set<std::string>> inline_allows(const SourceFile& source) {
@@ -93,13 +97,13 @@ std::vector<Finding> Engine::run() const {
 
   std::vector<Finding> findings;
   for (const auto& source : sources_) run_token_rules(*source, findings);
-  run_taint_analysis(parsed, graph, options_.max_depth, findings);
+  run_taint_analysis(parsed, graph, kMaxDepth, findings);
   run_lock_analysis(parsed, graph, findings);
   run_determinism_analysis(parsed, findings);
-  run_parallel_analysis(parsed, graph, options_.max_depth, findings);
+  run_parallel_analysis(parsed, graph, kMaxDepth, findings);
   run_lock_order_analysis(parsed, graph, findings);
   run_fp_exact_analysis(parsed, findings);
-  run_ct_flow_analysis(parsed, graph, options_.max_depth, findings);
+  run_ct_flow_analysis(parsed, graph, findings);
 
   // Apply inline suppressions and attach fingerprints.
   std::map<const SourceFile*, std::map<int, std::set<std::string>>> allows;

@@ -21,13 +21,6 @@ namespace analock::analysis {
 
 class Engine {
  public:
-  struct Options {
-    int max_depth = 4;  ///< taint propagation depth across calls
-  };
-
-  Engine() = default;
-  explicit Engine(Options options) : options_(options) {}
-
   /// Adds an in-memory source (unit tests, fixtures).
   void add_source(std::string path, std::string text);
 
@@ -42,7 +35,6 @@ class Engine {
   [[nodiscard]] std::vector<Finding> run() const;
 
  private:
-  Options options_;
   std::vector<std::unique_ptr<SourceFile>> sources_;
 };
 

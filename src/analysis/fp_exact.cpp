@@ -18,7 +18,7 @@
 // set), plus any file annotated `// analock: bit_exact` (such as the
 // evaluator's metric cores). Everything else may trade exactness for
 // speed freely.
-#include <cctype>
+#include <algorithm>
 #include <string>
 
 #include "analysis/analyses.h"
@@ -51,55 +51,18 @@ bool looks_like_accumulator(const std::string& name) {
          name.find("energy") != std::string::npos;
 }
 
-/// Offset ranges of every concurrent scope in `fn`.
-struct Range {
-  std::size_t begin = 0;
-  std::size_t end = 0;
-};
-
-std::vector<Range> concurrent_ranges(const FunctionDef& fn) {
-  std::vector<Range> ranges;
-  for (const ParallelRegion& region : fn.parallel_regions) {
-    ranges.push_back({region.body_begin, region.body_end});
-  }
-  if (fn.is_parallel_region) {
-    ranges.push_back({fn.body_begin, fn.body_end});
-  }
-  return ranges;
-}
-
-bool inside_any(const std::vector<Range>& ranges, std::size_t offset) {
-  for (const Range& r : ranges) {
-    if (offset >= r.begin && offset < r.end) return true;
-  }
-  return false;
-}
-
-/// Count whole-word occurrences of `word` followed by '[' in `text`.
-int count_indexed_uses(const std::string& text, const std::string& word) {
+/// Whole-word occurrences of `word` directly followed by '[' in `text`.
+int count_indexed_uses(std::string_view text, std::string_view word) {
   int count = 0;
-  std::size_t pos = 0;
-  const std::string needle = word + "[";
-  while ((pos = text.find(needle, pos)) != std::string::npos) {
-    const bool left_ok =
-        pos == 0 || (std::isalnum(static_cast<unsigned char>(
-                         text[pos - 1])) == 0 &&
-                     text[pos - 1] != '_');
-    if (left_ok) ++count;
-    pos += needle.size();
-  }
+  for_each_identifier(text, [&](std::string_view name, std::size_t begin) {
+    const std::size_t end = begin + name.size();
+    if (name == word && (begin == 0 || !is_word_char(text[begin - 1])) &&
+        end < text.size() && text[end] == '[') {
+      ++count;
+    }
+    return true;
+  });
   return count;
-}
-
-void emit(const ParsedFile& file, std::size_t offset, const char* rule,
-          std::string message, std::vector<Finding>& out) {
-  Finding f;
-  f.file = file.source->path;
-  f.line = file.source->line_of(offset);
-  f.col = file.source->col_of(offset);
-  f.rule = rule;
-  f.message = std::move(message);
-  out.push_back(std::move(f));
 }
 
 }  // namespace
@@ -109,16 +72,22 @@ void run_fp_exact_analysis(const std::vector<ParsedFile>& files,
   for (const ParsedFile& file : files) {
     if (!in_scope(file)) continue;
     for (const FunctionDef& fn : file.functions) {
-      const std::vector<Range> concurrent = concurrent_ranges(fn);
+      const std::vector<ConcurrentScope> scopes = concurrent_scopes(fn);
+      const auto concurrent = [&scopes](std::size_t offset) {
+        return std::any_of(
+            scopes.begin(), scopes.end(),
+            [offset](const ConcurrentScope& s) { return s.contains(offset); });
+      };
+      const SourceFile& source = *file.source;
 
       for (const CallSite& call : fn.calls) {
         if (call.base_name == "reduce" ||
             call.base_name == "transform_reduce") {
-          emit(file, call.offset, "fp-reassoc",
-               "std::" + call.base_name +
-                   "() has unspecified association order; bit-exact lane "
-                   "code must use a sequential left fold",
-               out);
+          out.push_back(make_finding(
+              source, call.offset, "fp-reassoc",
+              "std::" + call.base_name +
+                  "() has unspecified association order; bit-exact lane "
+                  "code must use a sequential left fold"));
           continue;
         }
         if (call.base_name == "accumulate") {
@@ -131,20 +100,20 @@ void run_fp_exact_analysis(const std::vector<ParsedFile>& files,
             }
           }
           if (has_policy) {
-            emit(file, call.offset, "fp-reassoc",
-                 "std::accumulate() with an execution policy reassociates "
-                 "the reduction; bit-exact lane code must fold "
-                 "sequentially",
-                 out);
+            out.push_back(make_finding(
+                source, call.offset, "fp-reassoc",
+                "std::accumulate() with an execution policy reassociates "
+                "the reduction; bit-exact lane code must fold "
+                "sequentially"));
           }
           continue;
         }
         if (call.base_name == "fma" || call.base_name == "fmaf") {
-          emit(file, call.offset, "fp-contract",
-               "std::" + call.base_name +
-                   "() fuses the multiply-add; the result differs from the "
-                   "unfused a*b+c computed by the scalar reference path",
-               out);
+          out.push_back(make_finding(
+              source, call.offset, "fp-contract",
+              "std::" + call.base_name +
+                  "() fuses the multiply-add; the result differs from the "
+                  "unfused a*b+c computed by the scalar reference path"));
         }
       }
 
@@ -156,25 +125,25 @@ void run_fp_exact_analysis(const std::vector<ParsedFile>& files,
               count_indexed_uses(write.rhs, write.head) >= 2 &&
               (write.rhs.find('+') != std::string::npos ||
                write.rhs.find('-') != std::string::npos)) {
-            emit(file, write.offset, "fp-reassoc",
-                 "pairwise/tree combination of '" + write.head +
-                     "' elements; the reduction shape is "
-                     "split-count-dependent, so results vary with the "
-                     "partition",
-                 out);
+            out.push_back(make_finding(
+                source, write.offset, "fp-reassoc",
+                "pairwise/tree combination of '" + write.head +
+                    "' elements; the reduction shape is "
+                    "split-count-dependent, so results vary with the "
+                    "partition"));
           }
           continue;
         }
         // Thread-count-dependent accumulation: a shared accumulator
         // += inside a concurrent scope moves its partial-sum
         // boundaries with ANALOCK_THREADS.
-        if (!inside_any(concurrent, write.offset)) continue;
+        if (!concurrent(write.offset)) continue;
         bool region_local = false;
         std::string type;
         for (const VarDecl& local : fn.locals) {
           if (local.name != write.head) continue;
           type = local.type;
-          if (inside_any(concurrent, local.offset)) region_local = true;
+          if (concurrent(local.offset)) region_local = true;
         }
         if (region_local) continue;
         for (const Param& p : fn.params) {
@@ -183,12 +152,12 @@ void run_fp_exact_analysis(const std::vector<ParsedFile>& files,
         const bool floaty = type_is_float(type) ||
                             (type.empty() && looks_like_accumulator(write.head));
         if (!floaty) continue;
-        emit(file, write.offset, "fp-reassoc",
-             "'" + write.head +
-                 "' accumulates across lanes inside a parallel region; "
-                 "partial-sum boundaries move with the thread count, so "
-                 "the rounded result is not bit-exact",
-             out);
+        out.push_back(make_finding(
+            source, write.offset, "fp-reassoc",
+            "'" + write.head +
+                "' accumulates across lanes inside a parallel region; "
+                "partial-sum boundaries move with the thread count, so "
+                "the rounded result is not bit-exact"));
       }
     }
   }

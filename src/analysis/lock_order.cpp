@@ -64,32 +64,20 @@ class AcquisitionClosure {
  public:
   explicit AcquisitionClosure(const CallGraph& graph) : graph_(graph) {}
 
-  const std::set<std::string>& of(const FunctionDef& fn) {
-    const auto it = memo_.find(&fn);
-    if (it != memo_.end()) return it->second;
-    // Seed the memo first so recursion terminates on call cycles.
-    std::set<std::string>& result = memo_[&fn];
-    std::set<const FunctionDef*> visited;
-    collect(fn, kClosureDepth, visited, result);
-    return result;
+  const std::set<std::string>& of(const FunctionRef& root) {
+    const auto [it, fresh] = memo_.try_emplace(&root.def());
+    if (fresh) {
+      graph_.walk(root, kClosureDepth, [&](const FunctionRef& ref) {
+        for (const LockHold& hold : ref.def().locks) {
+          it->second.insert(normalize_lock_name(hold.mutex_name, ref.def()));
+        }
+        return CallGraph::Walk::kDescend;
+      });
+    }
+    return it->second;
   }
 
  private:
-  void collect(const FunctionDef& fn, int depth,
-               std::set<const FunctionDef*>& visited,
-               std::set<std::string>& out) {
-    if (depth < 0 || visited.count(&fn) > 0) return;
-    visited.insert(&fn);
-    for (const LockHold& hold : fn.locks) {
-      out.insert(normalize_lock_name(hold.mutex_name, fn));
-    }
-    for (const CallSite& call : fn.calls) {
-      for (const FunctionRef& ref : graph_.resolve(call)) {
-        collect(ref.def(), depth - 1, visited, out);
-      }
-    }
-  }
-
   const CallGraph& graph_;
   std::map<const FunctionDef*, std::set<std::string>> memo_;
 };
@@ -177,7 +165,7 @@ void run_lock_order_analysis(const std::vector<ParsedFile>& files,
         }
         if (held_here.empty()) continue;
         for (const FunctionRef& ref : graph.resolve(call)) {
-          for (const std::string& acquired : closure.of(ref.def())) {
+          for (const std::string& acquired : closure.of(ref)) {
             for (const LockHold* hold : held_here) {
               const std::string held =
                   normalize_lock_name(hold->mutex_name, fn);
@@ -210,16 +198,12 @@ void run_lock_order_analysis(const std::vector<ParsedFile>& files,
     for (std::size_t i = 1; i < back_path.size(); ++i) {
       cycle += " -> " + short_name(back_path[i]);
     }
-    Finding f;
-    f.file = site.source->path;
-    f.line = line;
-    f.col = site.source->col_of(site.offset);
-    f.rule = "lock-order-cycle";
-    f.message = "acquiring '" + short_name(site.to) + "' while holding '" +
-                short_name(site.from) +
-                "' completes a lock-order cycle: " + cycle +
-                "; a concurrent thread taking the opposite order deadlocks";
-    out.push_back(std::move(f));
+    out.push_back(make_finding(
+        *site.source, site.offset, "lock-order-cycle",
+        "acquiring '" + short_name(site.to) + "' while holding '" +
+            short_name(site.from) + "' completes a lock-order cycle: " +
+            cycle +
+            "; a concurrent thread taking the opposite order deadlocks"));
   }
 }
 

@@ -8,9 +8,7 @@
 // held; its body is exempt and its call sites are checked instead.
 // Constructors and destructors are exempt (no concurrent access before
 // the object is shared / after teardown begins).
-#include <cctype>
 #include <map>
-#include <set>
 #include <string>
 
 #include "analysis/analyses.h"
@@ -32,6 +30,8 @@ bool lock_names_mutex(const std::string& arg, const std::string& mutex_name) {
   return before == '.' || before == '>' || before == ':';
 }
 
+}  // namespace
+
 bool held_at(const FunctionDef& fn, const std::string& mutex_name,
              std::size_t offset) {
   for (const LockHold& hold : fn.locks) {
@@ -43,18 +43,19 @@ bool held_at(const FunctionDef& fn, const std::string& mutex_name,
   return false;
 }
 
-}  // namespace
-
-void run_lock_analysis(const std::vector<ParsedFile>& files,
-                       const CallGraph& graph, std::vector<Finding>& out) {
-  // class -> member -> mutex, unioned across all TUs (annotations live
-  // in headers; accesses live in both headers and .cpp files).
-  std::map<std::string, std::map<std::string, std::string>> guarded;
+GuardedMembers guarded_members(const std::vector<ParsedFile>& files) {
+  GuardedMembers guarded;
   for (const ParsedFile& file : files) {
     for (const AnnotatedMember& m : file.guarded_members) {
       guarded[m.class_name][m.member_name] = m.mutex_name;
     }
   }
+  return guarded;
+}
+
+void run_lock_analysis(const std::vector<ParsedFile>& files,
+                       const CallGraph& graph, std::vector<Finding>& out) {
+  const GuardedMembers guarded = guarded_members(files);
   if (guarded.empty()) return;
 
   // Functions annotated requires(m), per class: their bodies are exempt
@@ -81,16 +82,11 @@ void run_lock_analysis(const std::vector<ParsedFile>& files,
           const std::string& mutex_name = member_it->second;
           if (fn.requires_mutex == mutex_name) continue;
           if (held_at(fn, mutex_name, access.offset)) continue;
-          Finding f;
-          f.file = source.path;
-          f.line = source.line_of(access.offset);
-          f.col = source.col_of(access.offset);
-          f.rule = "guarded-by";
-          f.message = "member '" + access.name + "' of " + fn.class_name +
-                      " is guarded by '" + mutex_name +
-                      "' but accessed in " + fn.base_name +
-                      "() without holding it";
-          out.push_back(std::move(f));
+          out.push_back(make_finding(
+              source, access.offset, "guarded-by",
+              "member '" + access.name + "' of " + fn.class_name +
+                  " is guarded by '" + mutex_name + "' but accessed in " +
+                  fn.base_name + "() without holding it"));
         }
       }
 
@@ -106,15 +102,11 @@ void run_lock_analysis(const std::vector<ParsedFile>& files,
           const std::string& mutex_name = req_it->second;
           if (fn.requires_mutex == mutex_name) continue;
           if (held_at(fn, mutex_name, call.offset)) continue;
-          Finding f;
-          f.file = source.path;
-          f.line = source.line_of(call.offset);
-          f.col = source.col_of(call.offset);
-          f.rule = "guarded-by";
-          f.message = "call to " + call.base_name + "() requires '" +
-                      mutex_name + "' held (annotated analock: requires), "
-                      "but " + fn.base_name + "() does not hold it";
-          out.push_back(std::move(f));
+          out.push_back(make_finding(
+              source, call.offset, "guarded-by",
+              "call to " + call.base_name + "() requires '" + mutex_name +
+                  "' held (annotated analock: requires), but " +
+                  fn.base_name + "() does not hold it"));
         }
       }
     }

@@ -1,6 +1,7 @@
 #include "analysis/model.h"
 
 #include <algorithm>
+#include <utility>
 
 namespace analock::analysis {
 
@@ -93,6 +94,17 @@ bool is_known_rule(std::string_view rule) {
     if (rule == info.id) return true;
   }
   return false;
+}
+
+Finding make_finding(const SourceFile& source, std::size_t offset,
+                     std::string rule, std::string message) {
+  Finding f;
+  f.file = source.path;
+  f.line = source.line_of(offset);
+  f.col = source.col_of(offset);
+  f.rule = std::move(rule);
+  f.message = std::move(message);
+  return f;
 }
 
 std::string Finding::render() const {

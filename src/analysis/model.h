@@ -55,6 +55,12 @@ struct Finding {
   [[nodiscard]] std::string render() const;
 };
 
+/// A `rule` finding at character `offset` of `source` (no fingerprint
+/// yet: the engine attaches it after suppression).
+[[nodiscard]] Finding make_finding(const SourceFile& source,
+                                   std::size_t offset, std::string rule,
+                                   std::string message);
+
 /// FNV-1a 64-bit hash (stable across platforms; used for fingerprints).
 [[nodiscard]] std::uint64_t fnv1a64(std::string_view text);
 

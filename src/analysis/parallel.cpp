@@ -23,7 +23,6 @@
 // is reported with the static named even before the annotation check,
 // because no annotation discipline makes hidden shared state safe.
 #include <algorithm>
-#include <cctype>
 #include <map>
 #include <set>
 #include <string>
@@ -34,57 +33,15 @@ namespace analock::analysis {
 
 namespace {
 
-bool lock_names_mutex(const std::string& arg, const std::string& mutex_name) {
-  if (arg == mutex_name) return true;
-  const std::size_t pos = arg.rfind(mutex_name);
-  if (pos == std::string::npos || pos + mutex_name.size() != arg.size()) {
-    return false;
-  }
-  const char before = pos > 0 ? arg[pos - 1] : '\0';
-  return before == '.' || before == '>' || before == ':';
-}
-
-bool held_at(const FunctionDef& fn, const std::string& mutex_name,
-             std::size_t offset) {
-  for (const LockHold& hold : fn.locks) {
-    if (hold.begin_offset <= offset && offset < hold.end_offset &&
-        lock_names_mutex(hold.mutex_name, mutex_name)) {
-      return true;
-    }
-  }
-  return false;
-}
-
-/// One concurrent scope: a parallel_for lambda, or the whole body of a
-/// `// analock: parallel_region` function.
-struct RegionView {
-  const FunctionDef* fn = nullptr;
-  std::size_t begin = 0;
-  std::size_t end = 0;
-  const ParallelRegion* lambda = nullptr;  ///< null for annotated fns
-};
-
-std::vector<RegionView> regions_of(const FunctionDef& fn) {
-  std::vector<RegionView> regions;
-  for (const ParallelRegion& r : fn.parallel_regions) {
-    if (r.body_end > r.body_begin) {
-      regions.push_back({&fn, r.body_begin, r.body_end, &r});
-    }
-  }
-  if (fn.is_parallel_region) {
-    regions.push_back({&fn, fn.body_begin, fn.body_end, nullptr});
-  }
-  return regions;
-}
-
 /// Induction variables of a region: the lambda's parameters, or — for
 /// annotated functions — parameters named begin/end by convention.
-std::set<std::string> induction_vars(const RegionView& region) {
+std::set<std::string> induction_vars(const FunctionDef& fn,
+                                     const ConcurrentScope& region) {
   std::set<std::string> vars;
   if (region.lambda != nullptr) {
     for (const std::string& p : region.lambda->params) vars.insert(p);
   } else {
-    for (const Param& p : region.fn->params) {
+    for (const Param& p : fn.params) {
       if (p.name == "begin" || p.name == "end") vars.insert(p.name);
     }
   }
@@ -92,12 +49,11 @@ std::set<std::string> induction_vars(const RegionView& region) {
 }
 
 /// Names declared inside the region body (lane-local by construction).
-std::set<std::string> region_locals(const RegionView& region) {
+std::set<std::string> region_locals(const FunctionDef& fn,
+                                    const ConcurrentScope& region) {
   std::set<std::string> names;
-  for (const VarDecl& local : region.fn->locals) {
-    if (local.offset >= region.begin && local.offset < region.end) {
-      names.insert(local.name);
-    }
+  for (const VarDecl& local : fn.locals) {
+    if (region.contains(local.offset)) names.insert(local.name);
   }
   return names;
 }
@@ -105,13 +61,14 @@ std::set<std::string> region_locals(const RegionView& region) {
 /// Induction variables plus everything derived from them inside the
 /// region (`for (std::size_t l = begin; ...)` makes `l` a lane index,
 /// `const std::size_t base = l * stride` extends the chain).
-std::set<std::string> lane_index_names(const RegionView& region) {
-  std::set<std::string> lane = induction_vars(region);
+std::set<std::string> lane_index_names(const FunctionDef& fn,
+                                       const ConcurrentScope& region) {
+  std::set<std::string> lane = induction_vars(fn, region);
   bool grew = true;
   while (grew) {
     grew = false;
-    for (const VarDecl& local : region.fn->locals) {
-      if (local.offset < region.begin || local.offset >= region.end) continue;
+    for (const VarDecl& local : fn.locals) {
+      if (!region.contains(local.offset)) continue;
       if (local.init.empty() || lane.count(local.name) > 0) continue;
       for (const std::string& name : lane) {
         if (contains_word(local.init, name)) {
@@ -153,48 +110,33 @@ bool has_mutable_static(const FunctionDef& fn, const SourceFile& source,
   return false;
 }
 
-/// Transitive mutable-static reachability, bounded by `depth`. A
-/// `thread_safe` annotation vouches for the whole subtree under it.
-bool reaches_mutable_static(const FunctionDef& fn, const ParsedFile& file,
-                            const CallGraph& graph, int depth,
-                            std::set<const FunctionDef*>& visited,
-                            std::string& which) {
-  if (depth < 0 || visited.count(&fn) > 0) return false;
-  visited.insert(&fn);
-  if (has_mutable_static(fn, *file.source, which)) return true;
-  for (const CallSite& call : fn.calls) {
-    for (const FunctionRef& ref : graph.resolve(call)) {
-      const FunctionDef& callee = ref.def();
-      if (callee.is_thread_safe) continue;
-      if (reaches_mutable_static(callee, *ref.file, graph, depth - 1,
-                                 visited, which)) {
-        return true;
-      }
+}  // namespace
+
+std::vector<ConcurrentScope> concurrent_scopes(const FunctionDef& fn) {
+  std::vector<ConcurrentScope> scopes;
+  for (const ParallelRegion& r : fn.parallel_regions) {
+    if (r.body_end > r.body_begin) {
+      scopes.push_back({r.body_begin, r.body_end, &r});
     }
   }
-  return false;
+  if (fn.is_parallel_region) {
+    scopes.push_back({fn.body_begin, fn.body_end, nullptr});
+  }
+  return scopes;
 }
-
-}  // namespace
 
 void run_parallel_analysis(const std::vector<ParsedFile>& files,
                            const CallGraph& graph, int max_depth,
                            std::vector<Finding>& out) {
-  // class -> member -> mutex across all TUs, for the guarded escape.
-  std::map<std::string, std::map<std::string, std::string>> guarded;
-  for (const ParsedFile& file : files) {
-    for (const AnnotatedMember& m : file.guarded_members) {
-      guarded[m.class_name][m.member_name] = m.mutex_name;
-    }
-  }
+  const GuardedMembers guarded = guarded_members(files);
 
   for (const ParsedFile& file : files) {
     const SourceFile& source = *file.source;
     for (const FunctionDef& fn : file.functions) {
-      for (const RegionView& region : regions_of(fn)) {
-        const std::set<std::string> locals = region_locals(region);
-        const std::set<std::string> induction = induction_vars(region);
-        const std::set<std::string> lane = lane_index_names(region);
+      for (const ConcurrentScope& region : concurrent_scopes(fn)) {
+        const std::set<std::string> locals = region_locals(fn, region);
+        const std::set<std::string> induction = induction_vars(fn, region);
+        const std::set<std::string> lane = lane_index_names(fn, region);
 
         std::set<std::string> copy_captured;
         std::set<std::string> ref_captured;
@@ -218,9 +160,7 @@ void run_parallel_analysis(const std::vector<ParsedFile>& files,
 
         // ---- parallel-shared-write -------------------------------------
         for (const WriteSite& write : fn.writes) {
-          if (write.offset < region.begin || write.offset >= region.end) {
-            continue;
-          }
+          if (!region.contains(write.offset)) continue;
           const std::string& head = write.head;
           if (locals.count(head) > 0 || induction.count(head) > 0) continue;
 
@@ -281,25 +221,19 @@ void run_parallel_analysis(const std::vector<ParsedFile>& files,
           }
           if (guarded_ok) continue;
 
-          Finding f;
-          f.file = source.path;
-          f.line = source.line_of(write.offset);
-          f.col = source.col_of(write.offset);
-          f.rule = "parallel-shared-write";
-          f.message =
-              "'" + head + "' is shared across lanes but written inside a "
-              "parallel region without lane-disjoint indexing (by " +
-              (induction.empty() ? std::string("the induction variable")
-                                 : "'" + *induction.begin() + "'") +
-              "), a guarded_by lock held, or an atomic type";
-          out.push_back(std::move(f));
+          out.push_back(make_finding(
+              source, write.offset, "parallel-shared-write",
+              "'" + head +
+                  "' is shared across lanes but written inside a parallel "
+                  "region without lane-disjoint indexing (by " +
+                  (induction.empty() ? std::string("the induction variable")
+                                     : "'" + *induction.begin() + "'") +
+                  "), a guarded_by lock held, or an atomic type"));
         }
 
         // ---- parallel-unsafe-call --------------------------------------
         for (const CallSite& call : fn.calls) {
-          if (call.offset < region.begin || call.offset >= region.end) {
-            continue;
-          }
+          if (!region.contains(call.offset)) continue;
           // Standard-library calls are outside the annotation scheme.
           if (call.callee.rfind("std::", 0) == 0) continue;
           // Calls on region-local receivers stay inside the lane; calls
@@ -342,22 +276,22 @@ void run_parallel_analysis(const std::vector<ParsedFile>& files,
           }
           if (annotated) continue;  // annotation vouches for the subtree
 
+          // Mutable-static reachability; a thread_safe annotation
+          // vouches for the whole subtree under it.
           std::string static_name;
-          bool touches_static = false;
-          for (const FunctionRef& ref : defs) {
-            std::set<const FunctionDef*> visited;
-            if (reaches_mutable_static(ref.def(), *ref.file, graph,
-                                       max_depth, visited, static_name)) {
-              touches_static = true;
-              break;
-            }
-          }
-          Finding f;
-          f.file = source.path;
-          f.line = source.line_of(call.offset);
-          f.col = source.col_of(call.offset);
-          f.rule = "parallel-unsafe-call";
-          f.message =
+          const auto enter = [&](const FunctionRef& ref) {
+            if (ref.def().is_thread_safe) return CallGraph::Walk::kPrune;
+            return has_mutable_static(ref.def(), *ref.file->source,
+                                      static_name)
+                       ? CallGraph::Walk::kStop
+                       : CallGraph::Walk::kDescend;
+          };
+          const bool touches_static =
+              std::any_of(defs.begin(), defs.end(), [&](const FunctionRef& r) {
+                return graph.walk(r, max_depth, enter);
+              });
+          out.push_back(make_finding(
+              source, call.offset, "parallel-unsafe-call",
               touches_static
                   ? "call to " + call.base_name +
                         "() from a parallel region reaches mutable static "
@@ -367,8 +301,7 @@ void run_parallel_analysis(const std::vector<ParsedFile>& files,
                         "'// analock: thread_safe'"
                   : "call to " + call.base_name +
                         "() from a parallel region, but the callee is not "
-                        "annotated '// analock: thread_safe'";
-          out.push_back(std::move(f));
+                        "annotated '// analock: thread_safe'"));
         }
       }
     }

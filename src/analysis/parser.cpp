@@ -35,16 +35,6 @@ bool is_stmt_keyword(std::string_view t) {
          t == "protected";
 }
 
-std::string trim(std::string_view text) {
-  std::size_t b = 0;
-  std::size_t e = text.size();
-  while (b < e && std::isspace(static_cast<unsigned char>(text[b])) != 0) ++b;
-  while (e > b && std::isspace(static_cast<unsigned char>(text[e - 1])) != 0) {
-    --e;
-  }
-  return std::string(text.substr(b, e - b));
-}
-
 /// Matching-bracket maps over a token stream (token index -> token
 /// index). Unbalanced brackets match to the end of the stream.
 struct BracketMap {
@@ -486,11 +476,7 @@ class FileParser {
       Param p;
       // The trailing identifier, if preceded by type text, is the name.
       std::size_t e = decl.size();
-      while (e > 0 && (std::isalnum(static_cast<unsigned char>(
-                           decl[e - 1])) != 0 ||
-                       decl[e - 1] == '_')) {
-        --e;
-      }
+      while (e > 0 && is_word_char(decl[e - 1])) --e;
       const std::string tail = decl.substr(e);
       const std::string head = trim(std::string_view(decl).substr(0, e));
       if (!tail.empty() && !head.empty() &&
@@ -831,23 +817,20 @@ class FileParser {
     if (intro_close == intro) return;
 
     ParallelRegion region;
-    region.offset = toks_[name_tok].offset;
     const std::string captures =
         slice(code_, toks_, intro + 1, intro_close);
     for (const std::string& piece : split_top_level_args(captures)) {
-      if (piece == "&") {
-        region.capture_default_ref = true;
-      } else if (piece == "=") {
+      if (piece == "=") {
         region.capture_default_copy = true;
       } else if (piece == "this") {
         region.ref_captures.push_back("this");
       } else if (!piece.empty() && piece[0] == '&') {
-        // `&name` or `&name = expr` init capture: the captured name.
+        // `&name` or `&name = expr` init capture: the captured name
+        // (none for the `&` default, which leaves every use shared).
         std::string name;
         for (std::size_t c = 1; c < piece.size(); ++c) {
           const char ch = piece[c];
-          if (std::isalnum(static_cast<unsigned char>(ch)) != 0 ||
-              ch == '_') {
+          if (is_word_char(ch)) {
             name += ch;
           } else {
             break;
@@ -858,8 +841,7 @@ class FileParser {
         // Copy capture (`name`, `name = expr`, `*this`): lane-local.
         std::string name;
         for (const char ch : piece) {
-          if (std::isalnum(static_cast<unsigned char>(ch)) != 0 ||
-              ch == '_') {
+          if (is_word_char(ch)) {
             name += ch;
           } else if (name.empty() && ch == '*') {
             continue;  // *this
@@ -1371,7 +1353,7 @@ class FileParser {
         std::string member;
         std::string current;
         for (const char c : decl_line) {
-          if (std::isalnum(static_cast<unsigned char>(c)) != 0 || c == '_') {
+          if (is_word_char(c)) {
             current += c;
             continue;
           }
@@ -1382,17 +1364,10 @@ class FileParser {
         if (!current.empty()) member = current;
         return member;
       };
-      int decl_line = line;
-      std::string member = member_on_line(decl_line);
-      if (member.empty()) {
-        decl_line = line + 1;
-        member = member_on_line(decl_line);
-      }
+      std::string member = member_on_line(line);
+      if (member.empty()) member = member_on_line(line + 1);
       if (member.empty()) continue;
-      const std::size_t member_offset =
-          source_.line_starts[static_cast<std::size_t>(decl_line - 1)];
-      out_.guarded_members.push_back(
-          {class_name, member, mutex_name, member_offset});
+      out_.guarded_members.push_back({class_name, member, mutex_name});
     }
   }
 
@@ -1433,19 +1408,40 @@ std::vector<std::string> split_top_level_args(std::string_view args) {
 bool contains_word(std::string_view text, std::string_view word) {
   std::size_t pos = 0;
   while ((pos = text.find(word, pos)) != std::string_view::npos) {
-    const bool left_ok =
-        pos == 0 || (std::isalnum(static_cast<unsigned char>(
-                         text[pos - 1])) == 0 &&
-                     text[pos - 1] != '_');
     const std::size_t end = pos + word.size();
-    const bool right_ok =
-        end >= text.size() ||
-        (std::isalnum(static_cast<unsigned char>(text[end])) == 0 &&
-         text[end] != '_');
-    if (left_ok && right_ok) return true;
+    if ((pos == 0 || !is_word_char(text[pos - 1])) &&
+        (end >= text.size() || !is_word_char(text[end]))) {
+      return true;
+    }
     ++pos;
   }
   return false;
+}
+
+std::string trim(std::string_view text) {
+  const std::size_t b = skip_space(text, 0);
+  std::size_t e = text.size();
+  while (e > b && std::isspace(static_cast<unsigned char>(text[e - 1])) != 0) {
+    --e;
+  }
+  return std::string(text.substr(b, e - b));
+}
+
+std::size_t skip_space(std::string_view text, std::size_t pos) {
+  while (pos < text.size() &&
+         std::isspace(static_cast<unsigned char>(text[pos])) != 0) {
+    ++pos;
+  }
+  return pos;
+}
+
+std::size_t close_paren(std::string_view text, std::size_t open) {
+  int depth = 0;
+  for (std::size_t i = open; i < text.size(); ++i) {
+    if (text[i] == '(') ++depth;
+    if (text[i] == ')' && --depth == 0) return i;
+  }
+  return text.size();
 }
 
 // analock: thread_safe -- pure function of its SourceFile, no statics

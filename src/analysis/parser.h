@@ -133,10 +133,8 @@ struct WriteSite {
 /// whole body as the region and params named begin/end as induction
 /// variables.
 struct ParallelRegion {
-  std::size_t offset = 0;        ///< offset of the parallel_for callee
   std::size_t body_begin = 0;    ///< offset just inside the lambda '{'
   std::size_t body_end = 0;      ///< offset of the matching '}'
-  bool capture_default_ref = false;   ///< [&]
   bool capture_default_copy = false;  ///< [=]
   std::vector<std::string> ref_captures;   ///< explicit &name captures
   std::vector<std::string> copy_captures;  ///< explicit by-value captures
@@ -178,7 +176,6 @@ struct AnnotatedMember {
   std::string class_name;
   std::string member_name;
   std::string mutex_name;
-  std::size_t offset = 0;
 };
 
 /// Everything extracted from one file.
@@ -192,10 +189,28 @@ struct ParsedFile {
 /// Parses one file. `source` must outlive the returned ParsedFile.
 [[nodiscard]] ParsedFile parse_file(const SourceFile& source);
 
+/// Letters, digits and '_'.
+[[nodiscard]] inline bool is_word_char(char c) {
+  return std::isalnum(static_cast<unsigned char>(c)) != 0 || c == '_';
+}
+
 /// Whole-word containment ('_' counts as a word character).
 [[nodiscard]] bool contains_word(std::string_view text, std::string_view word);
 
-/// Applies `fn` to each identifier run of `text` until it returns false.
+/// `text` without leading and trailing whitespace.
+[[nodiscard]] std::string trim(std::string_view text);
+
+/// Offset of the first non-whitespace character at or after `pos`;
+/// text.size() when there is none.
+[[nodiscard]] std::size_t skip_space(std::string_view text, std::size_t pos);
+
+/// Offset of the ')' matching the '(' at `open`; text.size() when the
+/// parentheses are unbalanced.
+[[nodiscard]] std::size_t close_paren(std::string_view text, std::size_t open);
+
+/// Applies `fn(identifier, offset)` to each identifier run of `text`
+/// until it returns false. A run starts at a letter or '_', so the `ull`
+/// of `1ull` is one too.
 template <typename Fn>
 void for_each_identifier(std::string_view text, Fn fn) {
   std::size_t i = 0;
@@ -204,17 +219,37 @@ void for_each_identifier(std::string_view text, Fn fn) {
     const char c = text[i];
     if (std::isalpha(static_cast<unsigned char>(c)) != 0 || c == '_') {
       std::size_t j = i + 1;
-      while (j < n && (std::isalnum(static_cast<unsigned char>(
-                           text[j])) != 0 ||
-                       text[j] == '_')) {
-        ++j;
-      }
-      if (!fn(text.substr(i, j - i))) return;
+      while (j < n && is_word_char(text[j])) ++j;
+      if (!fn(text.substr(i, j - i), i)) return;
       i = j;
     } else {
       ++i;
     }
   }
+}
+
+/// One call `name(` spelled in an expression text.
+struct TextCall {
+  std::string_view name;
+  std::size_t begin = 0;  ///< offset of the name
+  std::size_t open = 0;   ///< offset of the '('
+  bool member = false;    ///< reached through '.' or '->'
+};
+
+/// Applies `fn` to each call in `text`, in position order, until it
+/// returns false. `fn` may overwrite characters of the text it scans
+/// (the scan resumes after the name), but not resize it.
+template <typename Fn>
+void for_each_call(std::string_view text, Fn fn) {
+  for_each_identifier(text, [&](std::string_view name, std::size_t begin) {
+    if (begin > 0 && is_word_char(text[begin - 1])) return true;  // `1ull`
+    const std::size_t open = skip_space(text, begin + name.size());
+    if (open >= text.size() || text[open] != '(') return true;
+    const bool member =
+        (begin >= 1 && text[begin - 1] == '.') ||
+        (begin >= 2 && text[begin - 2] == '-' && text[begin - 1] == '>');
+    return fn(TextCall{name, begin, open, member});
+  });
 }
 
 /// Splits an argument list on top-level commas (respects (), [], {},

@@ -89,103 +89,61 @@ bool is_sink_call(const CallSite& call) {
   return false;
 }
 
+/// First identifier of `text` that names key material, "" when none.
+std::string first_secret_identifier(std::string_view text) {
+  std::string witness;
+  for_each_identifier(text, [&](std::string_view ident, std::size_t) {
+    if (is_secret_identifier(ident)) witness = ident;
+    return witness.empty();
+  });
+  return witness;
+}
+
 /// Returns a non-empty witness when `expr` carries key material. The
 /// context supplies function-local type knowledge and cross-TU
 /// returns_tainted / param_to_return summaries.
 std::string taint_witness(std::string_view expr, const FunctionDef& fn,
                           const TaintContext& ctx, int depth) {
-  std::string witness;
-  for_each_identifier(expr, [&](std::string_view ident) {
-    if (is_secret_identifier(ident)) {
-      witness = std::string(ident);
-      return false;
-    }
-    return true;
-  });
+  std::string witness = first_secret_identifier(expr);
   if (!witness.empty()) return witness;
 
   if (has_secret_accessor(expr)) return "bits()/to_hex() accessor";
 
   // A secret-typed variable used whole as the expression.
-  {
-    std::string trimmed(expr);
-    while (!trimmed.empty() &&
-           std::isspace(static_cast<unsigned char>(trimmed.front())) != 0) {
-      trimmed.erase(trimmed.begin());
-    }
-    while (!trimmed.empty() &&
-           std::isspace(static_cast<unsigned char>(trimmed.back())) != 0) {
-      trimmed.pop_back();
-    }
-    bool bare_ident = !trimmed.empty();
-    for (const char c : trimmed) {
-      if (std::isalnum(static_cast<unsigned char>(c)) == 0 && c != '_') {
-        bare_ident = false;
-        break;
-      }
-    }
-    if (bare_ident) {
-      const std::set<std::string> tainted_names = ctx.secret_typed_names(fn);
-      if (tainted_names.count(trimmed) > 0) {
-        return trimmed + " (secret-typed)";
-      }
-    }
+  const std::string trimmed = trim(expr);
+  if (!trimmed.empty() &&
+      std::all_of(trimmed.begin(), trimmed.end(), is_word_char) &&
+      ctx.secret_typed_names(fn).count(trimmed) > 0) {
+    return trimmed + " (secret-typed)";
   }
 
   if (depth <= 0) return {};
 
-  // Calls inside the expression whose return value carries taint:
-  // either the callee returns secret material outright, or a tainted
-  // argument flows through param_to_return.
-  for (const auto& [def, summary] : ctx.summaries) {
-    const bool interesting =
-        summary.returns_tainted ||
-        std::find(summary.param_to_return.begin(),
-                  summary.param_to_return.end(),
-                  true) != summary.param_to_return.end();
-    if (!interesting) continue;
-    std::size_t pos = 0;
-    while ((pos = expr.find(def->base_name, pos)) != std::string_view::npos) {
-      const std::size_t end = pos + def->base_name.size();
-      const bool left_ok =
-          pos == 0 || (std::isalnum(static_cast<unsigned char>(
-                           expr[pos - 1])) == 0 &&
-                       expr[pos - 1] != '_');
-      std::size_t k = end;
-      while (k < expr.size() &&
-             std::isspace(static_cast<unsigned char>(expr[k])) != 0) {
-        ++k;
-      }
-      if (!left_ok || k >= expr.size() || expr[k] != '(') {
-        pos = end;
-        continue;
-      }
-      if (summary.returns_tainted) {
-        return def->base_name + "() returns key material";
-      }
-      // Check tainted args against param_to_return.
-      int nest = 0;
-      std::size_t close = k;
-      for (; close < expr.size(); ++close) {
-        if (expr[close] == '(') ++nest;
-        if (expr[close] == ')' && --nest == 0) break;
-      }
-      const std::string_view args_text =
-          expr.substr(k + 1, close > k + 1 ? close - k - 1 : 0);
-      const std::vector<std::string> args = split_top_level_args(args_text);
-      for (std::size_t a = 0;
-           a < args.size() && a < summary.param_to_return.size(); ++a) {
-        if (!summary.param_to_return[a]) continue;
-        const std::string inner =
-            taint_witness(args[a], fn, ctx, depth - 1);
-        if (!inner.empty()) {
-          return inner + " via " + def->base_name + "()";
-        }
-      }
-      pos = end;
+  // The first call in the expression whose return value carries taint:
+  // the callee returns secret material outright, or a tainted argument
+  // flows through param_to_return.
+  ctx.graph->for_each_callee_in(expr, [&](const TextCall& call,
+                                          const FunctionRef& ref) {
+    const Summary& summary = ctx.summaries.at(&ref.def());
+    if (summary.returns_tainted) {
+      witness = std::string(call.name) + "() returns key material";
+      return false;
     }
-  }
-  return {};
+    const std::size_t close = close_paren(expr, call.open);
+    const std::vector<std::string> args =
+        split_top_level_args(expr.substr(call.open + 1, close - call.open - 1));
+    for (std::size_t a = 0;
+         a < args.size() && a < summary.param_to_return.size(); ++a) {
+      if (!summary.param_to_return[a]) continue;
+      const std::string inner = taint_witness(args[a], fn, ctx, depth - 1);
+      if (!inner.empty()) {
+        witness = inner + " via " + std::string(call.name) + "()";
+        return false;
+      }
+    }
+    return true;
+  });
+  return witness;
 }
 
 /// Statement-wise stream-insert scan of a function body (chained <<
@@ -219,8 +177,7 @@ std::vector<std::pair<std::size_t, std::string>> stream_insert_statements(
   return out;
 }
 
-void compute_summaries(const std::vector<ParsedFile>& files,
-                       const CallGraph& graph, int max_depth,
+void compute_summaries(const CallGraph& graph, int max_depth,
                        TaintContext& ctx) {
   // Initialize.
   for (const FunctionRef& ref : graph.all()) {
@@ -242,15 +199,8 @@ void compute_summaries(const std::vector<ParsedFile>& files,
     for (const ReturnExpr& ret : fn.returns) {
       // Base-level taint only here; call-based return taint composes
       // at use sites via param_to_return.
-      std::string witness;
-      for_each_identifier(ret.text, [&](std::string_view ident) {
-        if (is_secret_identifier(ident)) {
-          witness = std::string(ident);
-          return false;
-        }
-        return true;
-      });
-      if (!witness.empty() || has_secret_accessor(ret.text)) {
+      if (!first_secret_identifier(ret.text).empty() ||
+          has_secret_accessor(ret.text)) {
         s.returns_tainted = true;
         break;
       }
@@ -333,7 +283,6 @@ void compute_summaries(const std::vector<ParsedFile>& files,
     }
     if (!changed && round > 0) break;
   }
-  (void)files;
 }
 
 }  // namespace
@@ -365,24 +314,17 @@ bool is_secret_identifier(std::string_view identifier) {
   return false;
 }
 
+bool is_raw_key_accessor(std::string_view name) {
+  return name == "bits" || name == "to_hex";
+}
+
 bool has_secret_accessor(std::string_view text) {
-  for (const std::string_view acc : {"bits", "to_hex"}) {
-    std::size_t pos = 0;
-    while ((pos = text.find(acc, pos)) != std::string_view::npos) {
-      const std::size_t end = pos + acc.size();
-      const bool deref =
-          (pos >= 1 && text[pos - 1] == '.') ||
-          (pos >= 2 && text[pos - 2] == '-' && text[pos - 1] == '>');
-      std::size_t k = end;
-      while (k < text.size() &&
-             std::isspace(static_cast<unsigned char>(text[k])) != 0) {
-        ++k;
-      }
-      if (deref && k < text.size() && text[k] == '(') return true;
-      pos = end;
-    }
-  }
-  return false;
+  bool found = false;
+  for_each_call(text, [&found](const TextCall& call) {
+    found = call.member && is_raw_key_accessor(call.name);
+    return !found;
+  });
+  return found;
 }
 
 void run_taint_analysis(const std::vector<ParsedFile>& files,
@@ -390,7 +332,7 @@ void run_taint_analysis(const std::vector<ParsedFile>& files,
                         std::vector<Finding>& out) {
   TaintContext ctx;
   ctx.graph = &graph;
-  compute_summaries(files, graph, max_depth, ctx);
+  compute_summaries(graph, max_depth, ctx);
 
   for (const ParsedFile& file : files) {
     const SourceFile& source = *file.source;
@@ -401,15 +343,10 @@ void run_taint_analysis(const std::vector<ParsedFile>& files,
             const std::string witness =
                 taint_witness(arg, fn, ctx, max_depth);
             if (witness.empty()) continue;
-            Finding f;
-            f.file = source.path;
-            f.line = source.line_of(call.offset);
-            f.col = source.col_of(call.offset);
-            f.rule = "taint-sink";
-            f.message = "key material (" + witness + ") reaches sink " +
-                        call.callee +
-                        "; secrets must not enter obs/log output";
-            out.push_back(std::move(f));
+            out.push_back(make_finding(
+                source, call.offset, "taint-sink",
+                "key material (" + witness + ") reaches sink " +
+                    call.callee + "; secrets must not enter obs/log output"));
             break;
           }
           continue;
@@ -427,15 +364,11 @@ void run_taint_analysis(const std::vector<ParsedFile>& files,
             const std::string witness =
                 taint_witness(call.args[a], fn, ctx, max_depth);
             if (witness.empty()) continue;
-            Finding f;
-            f.file = source.path;
-            f.line = source.line_of(call.offset);
-            f.col = source.col_of(call.offset);
-            f.rule = "taint-call";
-            f.message = "key material (" + witness +
-                        ") flows into a sink through call chain " +
-                        call.base_name + " -> " + cs.sink_via[a];
-            out.push_back(std::move(f));
+            out.push_back(make_finding(
+                source, call.offset, "taint-call",
+                "key material (" + witness +
+                    ") flows into a sink through call chain " +
+                    call.base_name + " -> " + cs.sink_via[a]));
             reported = true;
             break;
           }
@@ -446,26 +379,12 @@ void run_taint_analysis(const std::vector<ParsedFile>& files,
       for (const auto& [offset, stmt] : stream_insert_statements(source, fn)) {
         const std::string witness = taint_witness(stmt, fn, ctx, max_depth);
         if (witness.empty()) continue;
-        Finding f;
-        f.file = source.path;
-        f.line = source.line_of(offset + stmt.size() -
-                                stmt.size());  // statement start
-        f.col = 1;
-        // Anchor at the first non-space char of the statement.
-        {
-          std::size_t lead = 0;
-          while (lead < stmt.size() &&
-                 std::isspace(static_cast<unsigned char>(stmt[lead])) != 0) {
-            ++lead;
-          }
-          f.line = source.line_of(offset + lead);
-          f.col = source.col_of(offset + lead);
-        }
-        f.rule = "taint-sink";
-        f.message = "key material (" + witness +
-                    ") inserted into an output stream; secrets must not "
-                    "enter obs/log output";
-        out.push_back(std::move(f));
+        // Anchored at the first non-space char of the statement.
+        out.push_back(make_finding(
+            source, offset + skip_space(stmt, 0), "taint-sink",
+            "key material (" + witness +
+                ") inserted into an output stream; secrets must not enter "
+                "obs/log output"));
       }
     }
   }

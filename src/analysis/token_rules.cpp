@@ -62,16 +62,6 @@ class TokenPass {
     return i < toks_.size() && toks_[i].is(text);
   }
 
-  void report(std::size_t offset, const char* rule, std::string message) {
-    Finding f;
-    f.file = source_.path;
-    f.line = source_.line_of(offset);
-    f.col = source_.col_of(offset);
-    f.rule = rule;
-    f.message = std::move(message);
-    out_.push_back(std::move(f));
-  }
-
   /// Token index of the bracket matching the one at `i`, scanning in the
   /// direction `step` (+1 from an opener, -1 from a closer); npos when
   /// unbalanced.
@@ -154,15 +144,11 @@ class TokenPass {
       const std::string_view name = toks_[i].text;
       const bool called = at(i + 1, "(");
       const bool member = i > 0 && (at(i - 1, ".") || at(i - 1, "->"));
-      if (called && member &&
-          (name == "size" || name == "empty" || name == "has_value" ||
-           name == "length" || name == "capacity")) {
-        return {};
-      }
+      if (called && member && is_public_shape_accessor(name)) return {};
       if (!found.empty()) continue;
       if (!called && is_secret_identifier(name)) {
         found = name;
-      } else if (called && member && (name == "bits" || name == "to_hex")) {
+      } else if (called && member && is_raw_key_accessor(name)) {
         found = name;
         found += "() accessor";
       }
@@ -175,10 +161,10 @@ class TokenPass {
     std::string w = witness(chain_before(i));
     if (w.empty()) w = witness(chain_after(i + 1));
     if (w.empty()) return;
-    report(toks_[i].offset, "secret-compare",
-           "early-exit " + std::string(toks_[i].text) +
-               " on key material (" + w +
-               "); use analock::ct_equal (lock/ct_equal.h)");
+    out_.push_back(make_finding(
+        source_, toks_[i].offset, "secret-compare",
+        "early-exit " + std::string(toks_[i].text) + " on key material (" +
+            w + "); use analock::ct_equal (lock/ct_equal.h)"));
   }
 
   // ------------------------------------------------------ shift-overflow
@@ -222,12 +208,13 @@ class TokenPass {
     const std::uint64_t top_bit =
         base->value == 0 ? 0 : std::bit_width(base->value) - 1;
     if (shift->value <= limit && top_bit + shift->value <= limit) return;
-    report(lhs.offset, "shift-overflow",
-           "literal shift " + std::string(lhs.text) + " << " +
-               std::string(rhs.text) + " overflows a " +
-               std::to_string(limit + 1) +
-               "-bit operand (UB); widen the operand "
-               "(e.g. std::uint64_t{1} << n) or reduce the shift");
+    out_.push_back(make_finding(
+        source_, lhs.offset, "shift-overflow",
+        "literal shift " + std::string(lhs.text) + " << " +
+            std::string(rhs.text) + " overflows a " +
+            std::to_string(limit + 1) +
+            "-bit operand (UB); widen the operand "
+            "(e.g. std::uint64_t{1} << n) or reduce the shift"));
   }
 
   // ------------------------------------------------------- build-hygiene
@@ -235,10 +222,10 @@ class TokenPass {
   void check_pragma(std::size_t i) {
     if (at(i + 1, "pragma") && at(i + 2, "STDC") &&
         at(i + 3, "FP_CONTRACT") && at(i + 4, "ON")) {
-      report(toks_[i].offset, "build-hygiene",
-             "'#pragma STDC FP_CONTRACT ON' contracts a*b+c into one "
-             "rounding, breaking the batch engine's bit-exactness "
-             "contract");
+      out_.push_back(make_finding(
+          source_, toks_[i].offset, "build-hygiene",
+          "'#pragma STDC FP_CONTRACT ON' contracts a*b+c into one "
+          "rounding, breaking the batch engine's bit-exactness contract"));
     }
   }
 
@@ -249,10 +236,10 @@ class TokenPass {
     if ((name == "system_clock" || name == "steady_clock" ||
          name == "high_resolution_clock") &&
         at(i + 1, "::") && at(i + 2, "now")) {
-      report(toks_[i].offset, "determinism-clock",
-             "ambient clock read " + std::string(name) +
-                 "::now(); inject an obs::Clock so runs replay "
-                 "bit-exactly");
+      out_.push_back(make_finding(
+          source_, toks_[i].offset, "determinism-clock",
+          "ambient clock read " + std::string(name) +
+              "::now(); inject an obs::Clock so runs replay bit-exactly"));
     }
   }
 
@@ -261,14 +248,16 @@ class TokenPass {
   void check_ambient_rng(std::size_t i) {
     const std::string_view name = toks_[i].text;
     if (name == "random_device" && is_free_name(i)) {
-      report(toks_[i].offset, "rng-source",
-             "std::random_device is ambient entropy; fork a seeded "
-             "sim::Rng stream");
+      out_.push_back(make_finding(
+          source_, toks_[i].offset, "rng-source",
+          "std::random_device is ambient entropy; fork a seeded sim::Rng "
+          "stream"));
     } else if ((name == "rand" || name == "srand") && at(i + 1, "(") &&
                is_free_name(i)) {
-      report(toks_[i].offset, "rng-source",
-             std::string(name) +
-                 "() breaks seeded reproducibility; use sim::Rng");
+      out_.push_back(make_finding(
+          source_, toks_[i].offset, "rng-source",
+          std::string(name) +
+              "() breaks seeded reproducibility; use sim::Rng"));
     } else if (name == "time" && at(i + 1, "(") && is_free_name(i)) {
       const std::size_t arg = i + 2;
       const bool seedless =
@@ -276,16 +265,18 @@ class TokenPass {
                             at(arg, "0")) &&
                            at(arg + 1, ")"));
       if (seedless) {
-        report(toks_[i].offset, "rng-source",
-               "time() used as seed material; seeds must be explicit "
-               "and named");
+        out_.push_back(make_finding(
+            source_, toks_[i].offset, "rng-source",
+            "time() used as seed material; seeds must be explicit and "
+            "named"));
       }
     } else if (is_std_engine_name(name) && is_free_name(i) &&
                ((at(i + 1, "{") && at(i + 2, "}")) ||
                 (at(i + 1, "(") && at(i + 2, ")")))) {
-      report(toks_[i].offset, "rng-source",
-             "default-seeded std <random> engine temporary; derive the "
-             "seed from a named sim::Rng stream (Rng::fork)");
+      out_.push_back(make_finding(
+          source_, toks_[i].offset, "rng-source",
+          "default-seeded std <random> engine temporary; derive the seed "
+          "from a named sim::Rng stream (Rng::fork)"));
     } else if ((name == "shuffle" || name == "sample") && i >= 2 &&
                at(i - 1, "::") && at(i - 2, "std") && at(i + 1, "(")) {
       check_urbg(i);
@@ -310,10 +301,11 @@ class TokenPass {
     const std::string_view urbg = std::string_view(source_.stripped)
                                       .substr(begin, toks_[close].offset - begin);
     if (seed_is_sim_derived(urbg)) return;
-    report(toks_[i - 2].offset, "rng-source",
-           "std::" + std::string(toks_[i].text) +
-               " draws from an engine that is not derived from a "
-               "seeded sim::Rng stream");
+    out_.push_back(make_finding(
+        source_, toks_[i - 2].offset, "rng-source",
+        "std::" + std::string(toks_[i].text) +
+            " draws from an engine that is not derived from a seeded "
+            "sim::Rng stream"));
   }
 
   const SourceFile& source_;
@@ -331,16 +323,12 @@ void check_cmake_flags(const SourceFile& source, std::vector<Finding>& out) {
   for (const std::string_view flag : kFlags) {
     for (std::size_t pos = text.find(flag); pos != std::string_view::npos;
          pos = text.find(flag, pos + 1)) {
-      Finding f;
-      f.file = source.path;
-      f.line = source.line_of(pos);
-      f.col = source.col_of(pos);
-      f.rule = "build-hygiene";
-      f.message = std::string(flag) +
-                  " reassociates or contracts floating point, so batch "
-                  "results would differ from the one-key path and across "
-                  "thread counts";
-      out.push_back(std::move(f));
+      out.push_back(make_finding(
+          source, pos, "build-hygiene",
+          std::string(flag) +
+              " reassociates or contracts floating point, so batch "
+              "results would differ from the one-key path and across "
+              "thread counts"));
     }
   }
 }

@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "analysis/callgraph.h"
@@ -287,6 +288,45 @@ TEST(EngineTaint, BenignKeyPrefixesDoNotTaint) {
   EXPECT_TRUE(engine.run().empty());
 }
 
+// Three TUs: two functions returning key material, and one expression
+// calling both. `reversed` adds them in the opposite order.
+std::vector<Finding> two_secret_calls(const std::string& use,
+                                      bool reversed) {
+  const std::vector<std::pair<std::string, std::string>> sources = {
+      {"a.cpp", "std::uint64_t load_alpha() { return config_key; }\n"},
+      {"b.cpp", "std::uint64_t load_beta() { return puf_response; }\n"},
+      {"c.cpp", use},
+  };
+  Engine engine;
+  for (std::size_t i = 0; i < sources.size(); ++i) {
+    const auto& [path, text] = sources[reversed ? sources.size() - 1 - i : i];
+    engine.add_source(path, text);
+  }
+  return engine.run();
+}
+
+std::vector<std::string> messages_of(const std::vector<Finding>& findings) {
+  std::vector<std::string> messages;
+  for (const Finding& f : findings) {
+    messages.push_back(f.render());
+  }
+  return messages;
+}
+
+TEST(EngineTaint, WitnessIsTheFirstSecretCallInTheExpression) {
+  const std::string use =
+      "void leak() {\n"
+      "  std::printf(\"%llu\\n\", load_alpha() ^ load_beta());\n"
+      "}\n";
+  const std::vector<std::string> forward =
+      messages_of(two_secret_calls(use, false));
+  EXPECT_EQ(forward, messages_of(two_secret_calls(use, true)));
+  ASSERT_EQ(forward.size(), 1u);
+  EXPECT_NE(forward[0].find("(load_alpha() returns key material)"),
+            std::string::npos)
+      << forward[0];
+}
+
 TEST(EngineTaint, InlineAllowSuppressesOnSameAndNextLine) {
   Engine engine;
   engine.add_source(
@@ -404,8 +444,8 @@ TEST(ParserParallel, ExtractsRegionCapturesParamsAndBodyExtent) {
   const FunctionDef& fn = parsed.functions[0];
   ASSERT_EQ(fn.parallel_regions.size(), 1u);
   const ParallelRegion& region = fn.parallel_regions[0];
-  EXPECT_TRUE(region.capture_default_ref);
   EXPECT_FALSE(region.capture_default_copy);
+  EXPECT_TRUE(region.ref_captures.empty());
   EXPECT_EQ(region.params, (std::vector<std::string>{"begin", "end"}));
   ASSERT_LT(region.body_begin, region.body_end);
   ASSERT_EQ(fn.writes.size(), 1u);
@@ -685,6 +725,21 @@ TEST(EngineCtFlow, CrossTuReturnsTaintedReachesBranch) {
     if (f.rule == "secret-branch" && f.file == "src/lock/b.cpp") in_b = true;
   }
   EXPECT_TRUE(in_b);
+}
+
+TEST(EngineCtFlow, WitnessIsTheFirstSecretCallInTheExpression) {
+  const std::string use =
+      "int gate() {\n"
+      "  if ((load_alpha() ^ load_beta()) != 0) { return 1; }\n"
+      "  return 0;\n"
+      "}\n";
+  const std::vector<std::string> forward =
+      messages_of(two_secret_calls(use, false));
+  EXPECT_EQ(forward, messages_of(two_secret_calls(use, true)));
+  ASSERT_EQ(forward.size(), 1u);
+  EXPECT_NE(forward[0].find("(load_alpha() returns key material)"),
+            std::string::npos)
+      << forward[0];
 }
 
 TEST(EngineCtFlow, StdVocabMemberCallsAreOpaque) {
