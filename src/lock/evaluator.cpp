@@ -24,7 +24,8 @@ LockEvaluator::LockEvaluator(const rf::Standard& standard,
     : standard_(&standard),
       process_(process),
       rng_(rng.fork("lock-evaluator")),
-      options_(options) {}
+      options_(options),
+      tape_(rng_, options.settle + options.fft_size) {}
 
 std::vector<rf::ReceiverConfig> LockEvaluator::lane_configs(
     std::span<const Key64> keys) const {
@@ -45,14 +46,14 @@ double LockEvaluator::faulted(const char* site, double clean_db) const {
 }
 
 std::vector<double> LockEvaluator::clean_snr_modulator(
-    std::span<const Key64> keys, double input_dbm,
-    par::ThreadPool& pool) const {
+    std::span<const Key64> keys, double input_dbm, par::ThreadPool& pool) {
   ANALOCK_SPAN("eval.snr_modulator");
-  rf::ReceiverBatch batch(*standard_, process_, rng_, lane_configs(keys));
+  rf::ReceiverBatch batch(*standard_, process_, rng_, lane_configs(keys),
+                          &tape_);
   const double offset = rf::default_tone_offset_hz(*standard_);
-  const auto rf_in = rf::make_test_tone(
-      *standard_, input_dbm, options_.settle + options_.fft_size, offset);
-  const auto captures = batch.capture_modulator(rf_in, options_.settle, pool);
+  const auto captures = batch.capture_modulator(
+      rf::test_tone(*standard_, input_dbm, offset),
+      options_.settle + options_.fft_size, options_.settle, pool);
   const auto spectra = dsp::Periodogram::many_real(captures, keys.size(),
                                                    standard_->fs_hz());
   std::vector<double> out(keys.size());
@@ -65,21 +66,20 @@ std::vector<double> LockEvaluator::clean_snr_modulator(
 }
 
 std::vector<double> LockEvaluator::clean_snr_receiver(
-    std::span<const Key64> keys, double input_dbm,
-    par::ThreadPool& pool) const {
+    std::span<const Key64> keys, double input_dbm, par::ThreadPool& pool) {
   ANALOCK_SPAN("eval.snr_receiver");
   // An empty baseband capture reads "locked hard".
   if (options_.baseband_points == 0) {
     return std::vector<double>(keys.size(), -200.0);
   }
-  rf::ReceiverBatch batch(*standard_, process_, rng_, lane_configs(keys));
+  rf::ReceiverBatch batch(*standard_, process_, rng_, lane_configs(keys),
+                          &tape_);
   const double offset = rf::default_tone_offset_hz(*standard_);
   const std::size_t n =
       rf::receiver_input_length(options_.baseband_points, options_.settle);
-  const auto rf_in = rf::make_test_tone(*standard_, input_dbm, n, offset);
   const auto baseband = batch.capture_receiver(
-      rf_in, options_.settle, options_.baseband_points,
-      /*settle_baseband=*/16, pool);
+      rf::test_tone(*standard_, input_dbm, offset), n, options_.settle,
+      options_.baseband_points, /*settle_baseband=*/16, pool);
   const auto spectra = dsp::Periodogram::many_complex(
       baseband, keys.size(), batch.baseband_fs_hz());
   const double half_band = standard_->fs_hz() / (4.0 * standard_->osr);
@@ -93,16 +93,16 @@ std::vector<double> LockEvaluator::clean_snr_receiver(
 
 std::vector<double> LockEvaluator::clean_sfdr(std::span<const Key64> keys,
                                               double dbm_per_tone,
-                                              par::ThreadPool& pool) const {
+                                              par::ThreadPool& pool) {
   ANALOCK_SPAN("eval.sfdr");
-  rf::ReceiverBatch batch(*standard_, process_, rng_, lane_configs(keys));
+  rf::ReceiverBatch batch(*standard_, process_, rng_, lane_configs(keys),
+                          &tape_);
   const double center =
       standard_->f0_hz + rf::default_tone_offset_hz(*standard_);
   const double spacing = options_.two_tone_spacing_hz;
-  const auto rf_in =
-      rf::make_two_tone(*standard_, dbm_per_tone,
-                        options_.settle + options_.sfdr_fft_size, spacing);
-  const auto captures = batch.capture_modulator(rf_in, options_.settle, pool);
+  const auto captures = batch.capture_modulator(
+      rf::two_tone(*standard_, dbm_per_tone, spacing),
+      options_.settle + options_.sfdr_fft_size, options_.settle, pool);
   const auto spectra = dsp::Periodogram::many_real(captures, keys.size(),
                                                    standard_->fs_hz());
   const double half_band = standard_->fs_hz() / (4.0 * standard_->osr);

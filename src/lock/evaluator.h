@@ -5,15 +5,22 @@
 // one performance violates its specification (Section VI.A).
 //
 // Every evaluation is deterministic for a given (chip, key, options):
-// noise streams are re-seeded per run, so calibration searches and tests
-// see a stable objective. The evaluator also counts trials, which the
-// attack cost model converts into projected silicon/simulation time.
+// every trial sees the same noise streams from their start, so
+// calibration searches and tests see a stable objective. The streams
+// depend on no key, so the evaluator draws their prefix once, into an
+// rf::NoiseTape as long as the modulator-SNR capture, and every later
+// trial replays it; trials longer than the tape continue each stream
+// from its saved state. The stimulus tone is synthesized window by
+// window, never stored whole. The evaluator also counts trials, which
+// the attack cost model converts into projected silicon/simulation time.
 //
 // Each oracle has one implementation over a span of keys, stepped as
 // lanes of an rf::ReceiverBatch; a single-key call is a batch of one.
-// Every reading is independent of the batch size, the batch position and
-// the thread count, and trial counters and fault-injector draws advance
-// as if the keys were measured one call at a time.
+// Every reading is independent of the batch size, the batch position,
+// the thread count and the calls made before it, and trial counters and
+// fault-injector draws advance as if the keys were measured one call at
+// a time. A call may fill the tape, so one evaluator serves one caller
+// thread at a time; the many-key forms shard lanes across a pool.
 #pragma once
 
 #include <cstdint>
@@ -26,6 +33,7 @@
 #include "lock/key_layout.h"
 #include "par/thread_pool.h"
 #include "rf/receiver.h"
+#include "rf/receiver_batch.h"
 #include "rf/standards.h"
 #include "sim/process.h"
 #include "sim/rng.h"
@@ -143,15 +151,14 @@ class LockEvaluator {
       std::span<const Key64> keys) const;
 
   // Clean (pre-fault-injector) metric cores: capture, spectrum, metric.
+  // Each fills the noise tape with the streams its keys need.
   [[nodiscard]] std::vector<double> clean_snr_modulator(
-      std::span<const Key64> keys, double input_dbm,
-      par::ThreadPool& pool) const;
+      std::span<const Key64> keys, double input_dbm, par::ThreadPool& pool);
   [[nodiscard]] std::vector<double> clean_snr_receiver(
-      std::span<const Key64> keys, double input_dbm,
-      par::ThreadPool& pool) const;
+      std::span<const Key64> keys, double input_dbm, par::ThreadPool& pool);
   [[nodiscard]] std::vector<double> clean_sfdr(std::span<const Key64> keys,
                                                double dbm_per_tone,
-                                               par::ThreadPool& pool) const;
+                                               par::ThreadPool& pool);
 
   /// Routes a clean reading through the injector, if any.
   [[nodiscard]] double faulted(const char* site, double clean_db) const;
@@ -160,6 +167,9 @@ class LockEvaluator {
   sim::ProcessVariation process_;
   sim::Rng rng_;
   EvaluatorOptions options_;
+  /// Noise prefix of the modulator-SNR capture (settle + fft_size),
+  /// drawn once and replayed by every trial.
+  rf::NoiseTape tape_;
   TrialCounts trials_;
   fault::FaultInjector* injector_ = nullptr;
 };

@@ -80,22 +80,29 @@ double default_tone_offset_hz(const Standard& standard) {
   return 16.0 * standard.fs_hz() / 8192.0;
 }
 
-std::vector<double> make_test_tone(const Standard& standard, double dbm,
-                                   std::size_t n, double offset_hz) {
+dsp::ToneGenerator test_tone(const Standard& standard, double dbm,
+                             double offset_hz) {
   const double offset =
       offset_hz < 0.0 ? default_tone_offset_hz(standard) : offset_hz;
-  auto gen = dsp::single_tone_dbm(standard.f0_hz + offset, dbm,
-                                  standard.fs_hz());
-  return gen.generate(n);
+  return dsp::single_tone_dbm(standard.f0_hz + offset, dbm, standard.fs_hz());
+}
+
+std::vector<double> make_test_tone(const Standard& standard, double dbm,
+                                   std::size_t n, double offset_hz) {
+  return test_tone(standard, dbm, offset_hz).generate(n);
+}
+
+dsp::ToneGenerator two_tone(const Standard& standard, double dbm_per_tone,
+                            double spacing_hz) {
+  const double center = standard.f0_hz + default_tone_offset_hz(standard);
+  return dsp::two_tone_dbm(center, spacing_hz, dbm_per_tone,
+                           standard.fs_hz());
 }
 
 std::vector<double> make_two_tone(const Standard& standard,
                                   double dbm_per_tone, std::size_t n,
                                   double spacing_hz) {
-  const double center = standard.f0_hz + default_tone_offset_hz(standard);
-  auto gen =
-      dsp::two_tone_dbm(center, spacing_hz, dbm_per_tone, standard.fs_hz());
-  return gen.generate(n);
+  return two_tone(standard, dbm_per_tone, spacing_hz).generate(n);
 }
 
 }  // namespace analock::rf

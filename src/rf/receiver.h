@@ -10,6 +10,7 @@
 #include <span>
 #include <vector>
 
+#include "dsp/tonegen.h"
 #include "rf/bp_sigma_delta.h"
 #include "rf/digital_backend.h"
 #include "rf/standards.h"
@@ -95,12 +96,22 @@ class Receiver {
 /// F0 + `offset_hz` (default: 16 bins of an 8192-point FFT at fs, so the
 /// tone is in-band but off the exact fs/4 line and limiter harmonics fold
 /// outside the metrology band).
+[[nodiscard]] dsp::ToneGenerator test_tone(const Standard& standard,
+                                           double dbm,
+                                           double offset_hz = -1.0);
+
+/// The first `n` samples of test_tone().
 [[nodiscard]] std::vector<double> make_test_tone(const Standard& standard,
                                                  double dbm, std::size_t n,
                                                  double offset_hz = -1.0);
 
 /// Two-tone SFDR stimulus: equal powers `dbm_per_tone`, spacing
 /// `spacing_hz` centered on F0 + offset (paper: 10 MHz spacing).
+[[nodiscard]] dsp::ToneGenerator two_tone(const Standard& standard,
+                                          double dbm_per_tone,
+                                          double spacing_hz = 10.0e6);
+
+/// The first `n` samples of two_tone().
 [[nodiscard]] std::vector<double> make_two_tone(const Standard& standard,
                                                 double dbm_per_tone,
                                                 std::size_t n,

@@ -1,8 +1,10 @@
 #include "rf/receiver_batch.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cassert>
 #include <cmath>
+#include <optional>
 
 #include "dsp/fir.h"
 #include "obs/trace.h"
@@ -20,46 +22,81 @@ constexpr std::size_t kCicStages = DigitalBackend::kCicStages;
 // copies.
 constexpr std::size_t kChunk = 4096;
 
+/// The eight named noise streams, forked along the chains the scalar
+/// Receiver/BpSigmaDelta constructors walk.
+std::array<sim::Rng, NoiseTape::kStreams> fork_noise_streams(
+    const sim::Rng& rng) {
+  const sim::Rng mod = rng.fork("receiver-modulator");
+  std::array<sim::Rng, NoiseTape::kStreams> streams;
+  streams[NoiseTape::kVg] = rng.fork("receiver-vglna").fork("vglna-noise");
+  streams[NoiseTape::kGm] = mod.fork("sd-gmin").fork("gmin-noise");
+  streams[NoiseTape::kPre] = mod.fork("sd-preamp").fork("preamp-noise");
+  streams[NoiseTape::kCmp] =
+      mod.fork("sd-comparator").fork("comparator-noise");
+  streams[NoiseTape::kDac] = mod.fork("sd-dac").fork("dac-noise");
+  streams[NoiseTape::kBuf] = mod.fork("sd-buffer").fork("buffer-noise");
+  streams[NoiseTape::kT1] = mod.fork("sd-tank1");
+  streams[NoiseTape::kT2] = mod.fork("sd-tank2");
+  return streams;
+}
+
 }  // namespace
 
-/// The named scalar noise streams, drawn one chunk window at a time into
-/// raw unit-deviate windows shared by every lane of a worker's range.
-/// Lane values are formed as `0.0 + rms[lane] * g[k]`, the exact
-/// expression GaussianNoise applies per draw.
+NoiseTape::NoiseTape(const sim::Rng& rng, std::size_t length)
+    : length_(length), streams_(fork_noise_streams(rng)) {}
+
+void NoiseTape::draw(Stream s) {
+  if (drawn_[s]) return;
+  std::vector<double>& prefix = prefix_[s];
+  prefix.resize(length_);
+  for (double& g : prefix) g = streams_[s].gaussian();
+  drawn_[s] = true;
+  obs::count("rf.noise.drawn", length_);
+}
+
+/// One worker's view of the needed noise streams, one chunk window at a
+/// time. A window inside the tape points straight into it. Past the tape,
+/// deviates are drawn into the worker's own window buffer from the
+/// stream's saved post-tape state; a window that crosses the tape's end
+/// copies the tape's tail first. Lane values are formed as
+/// `0.0 + rms[lane] * g[k]`, the exact expression GaussianNoise applies
+/// per draw.
 struct ReceiverBatch::NoiseWindows {
-  enum Stream : std::size_t { kVg, kGm, kPre, kCmp, kDac, kBuf, kT1, kT2, kN };
-
-  NoiseWindows(const sim::Rng& rng, bool gmin_used, bool buffer_used) {
-    // Same fork chains the scalar Receiver/BpSigmaDelta constructors walk.
-    const sim::Rng mod = rng.fork("receiver-modulator");
-    streams[kVg] = rng.fork("receiver-vglna").fork("vglna-noise");
-    streams[kGm] = mod.fork("sd-gmin").fork("gmin-noise");
-    streams[kPre] = mod.fork("sd-preamp").fork("preamp-noise");
-    streams[kCmp] = mod.fork("sd-comparator").fork("comparator-noise");
-    streams[kDac] = mod.fork("sd-dac").fork("dac-noise");
-    streams[kBuf] = mod.fork("sd-buffer").fork("buffer-noise");
-    streams[kT1] = mod.fork("sd-tank1");
-    streams[kT2] = mod.fork("sd-tank2");
-    for (bool& n : needed) n = true;
-    needed[kGm] = gmin_used;
-    needed[kBuf] = buffer_used;
+  NoiseWindows(const NoiseTape& source, const NeededStreams& mask)
+      : tape(source), needed(mask) {
+    for (std::size_t i = 0; i < NoiseTape::kStreams; ++i) {
+      const auto s = static_cast<NoiseTape::Stream>(i);
+      if (needed[s]) streams[s] = tape.after(s);
+    }
   }
 
-  sim::Rng streams[kN];
-  bool needed[kN];
-  std::vector<double> g = std::vector<double>(kN * kChunk);
+  const NoiseTape& tape;
+  const NeededStreams& needed;
+  std::array<sim::Rng, NoiseTape::kStreams> streams;
+  std::array<const double*, NoiseTape::kStreams> window{};
+  std::vector<double> g;  ///< allocated once a window passes the tape
+  std::uint64_t drawn = 0;
+  std::uint64_t replayed = 0;
 
-  [[nodiscard]] const double* window(Stream s) const {
-    return &g[s * kChunk];
-  }
-
-  /// Draws the next `m` deviates of every needed stream.
-  void draw(std::size_t m) {
-    for (std::size_t s = 0; s < kN; ++s) {
+  /// Points every needed stream's window at its deviates [base, base + m).
+  void next(std::size_t base, std::size_t m) {
+    const std::size_t on_tape =
+        base < tape.length() ? std::min(m, tape.length() - base) : 0;
+    for (std::size_t i = 0; i < NoiseTape::kStreams; ++i) {
+      const auto s = static_cast<NoiseTape::Stream>(i);
       if (!needed[s]) continue;
-      sim::Rng& stream = streams[s];
+      replayed += on_tape;
+      if (on_tape == m) {
+        window[s] = tape.prefix(s) + base;
+        continue;
+      }
+      if (g.empty()) g.resize(NoiseTape::kStreams * kChunk);
       double* dst = &g[s * kChunk];
-      for (std::size_t k = 0; k < m; ++k) dst[k] = stream.gaussian();
+      if (on_tape > 0) std::copy_n(tape.prefix(s) + base, on_tape, dst);
+      sim::Rng& stream = streams[s];
+      for (std::size_t k = on_tape; k < m; ++k) dst[k] = stream.gaussian();
+      drawn += m - on_tape;
+      window[s] = dst;
     }
   }
 };
@@ -89,12 +126,17 @@ struct ReceiverBatch::LaneState {
   bool done = false;  ///< every requested baseband sample is written
 };
 
-/// One capture request: the stimulus and where each lane's output goes.
+/// One capture request: the stimulus, the noise tape and where each
+/// lane's output goes.
 struct ReceiverBatch::Transient {
+  /// `n` stimulus samples: `rf` when given, else synthesized from `tone`.
+  std::size_t n = 0;
   std::span<const double> rf;
+  const dsp::ToneGenerator* tone = nullptr;
+  const NoiseTape* tape = nullptr;
   std::size_t settle = 0;
   /// False: write post-settle modulator outputs into `mod_out`
-  /// (lane-major, rf.size() - settle per lane). True: run the digital
+  /// (lane-major, n - settle per lane). True: run the digital
   /// backend and write `baseband_points` samples per lane into `bb_out`.
   bool run_backend = false;
   std::size_t baseband_points = 0;
@@ -106,9 +148,11 @@ struct ReceiverBatch::Transient {
 ReceiverBatch::ReceiverBatch(const Standard& standard,
                              const sim::ProcessVariation& process,
                              const sim::Rng& rng,
-                             std::span<const ReceiverConfig> configs)
+                             std::span<const ReceiverConfig> configs,
+                             NoiseTape* tape)
     : standard_(&standard),
-      rng_(rng),
+      tape_(tape),
+      own_tape_(rng, 0),
       fs_hz_(standard.fs_hz()),
       lanes_(configs.size()) {
   assert(lanes_ > 0 && "batch needs at least one lane");
@@ -146,7 +190,7 @@ ReceiverBatch::ReceiverBatch(const Standard& standard,
            "batch lanes must share the digital mode");
     // Probe receiver: the scalar blocks own every config->parameter map;
     // harvest the configured constants instead of re-deriving them.
-    Receiver probe(standard, process, rng_);
+    Receiver probe(standard, process, rng);
     probe.configure(cfg);
 
     const Vglna& vg = probe.vglna();
@@ -182,25 +226,38 @@ ReceiverBatch::ReceiverBatch(const Standard& standard,
     buf_gain_[l] = mod.out_buffer().gain();
     buf_rms_[l] = mod.out_buffer().noise_rms();
 
-    any_gmin_ = any_gmin_ || mc.gmin_enable;
-    any_buffer_ = any_buffer_ || mc.buffer_in_path;
+    needed_[NoiseTape::kGm] = needed_[NoiseTape::kGm] || mc.gmin_enable;
+    needed_[NoiseTape::kBuf] = needed_[NoiseTape::kBuf] || mc.buffer_in_path;
   }
 
   hb_taps_ = dsp::design_halfband(kHbTaps);
   channel_taps_ = DigitalBackend::channel_taps_for_mode(digital_mode_);
 }
 
-void ReceiverBatch::run(const Transient& t, par::ThreadPool& pool) const {
+void ReceiverBatch::run(Transient& t, par::ThreadPool& pool) {
+  NoiseTape& tape = tape_ != nullptr ? *tape_ : own_tape_;
+  for (std::size_t i = 0; i < NoiseTape::kStreams; ++i) {
+    const auto s = static_cast<NoiseTape::Stream>(i);
+    if (needed_[s]) tape.draw(s);
+  }
+  t.tape = &tape;
+  std::atomic<std::uint64_t> drawn{0};
+  std::atomic<std::uint64_t> replayed{0};
   pool.parallel_for(lanes_, [&](std::size_t begin, std::size_t end) {
-    run_lanes(begin, end, t);
+    const NoiseWork work = run_lanes(begin, end, t);
+    drawn += work.drawn;
+    replayed += work.replayed;
   });
+  obs::count("rf.noise.drawn", drawn);
+  obs::count("rf.noise.replayed", replayed);
 }
 
 // analock: thread_safe parallel_region
-void ReceiverBatch::run_lanes(std::size_t begin, std::size_t end,
-                              const Transient& t) const {
+ReceiverBatch::NoiseWork ReceiverBatch::run_lanes(std::size_t begin,
+                                                  std::size_t end,
+                                                  const Transient& t) const {
   // Chunk-outer, lane-inner: each window of the shared noise streams is
-  // drawn once, then every lane of [begin, end) steps through it. Per
+  // taken once, then every lane of [begin, end) steps through it. Per
   // lane, every constant is hoisted into a register, every
   // flag-dependent branch is loop-invariant, and the dynamic state is
   // copied into a local for the window and written back after it. The
@@ -215,20 +272,17 @@ void ReceiverBatch::run_lanes(std::size_t begin, std::size_t end,
   // the resonator recurrence. Pass 2 consumes the buffered loop signal
   // and advances the stateful chain. Per-sample expression order is
   // unchanged, so the split is bit-exact.
-  const std::size_t n = t.rf.size();
+  const std::size_t n = t.n;
   const std::size_t settle = t.settle;
   const std::size_t n_mod = n > settle ? n - settle : 0;
-  NoiseWindows noise(rng_, any_gmin_, any_buffer_);
-  const double* nvg_p = noise.window(NoiseWindows::kVg);
-  const double* ngm_p = noise.window(NoiseWindows::kGm);
-  const double* nt1_p = noise.window(NoiseWindows::kT1);
-  const double* nt2_p = noise.window(NoiseWindows::kT2);
-  const double* npre_p = noise.window(NoiseWindows::kPre);
-  const double* ncmp_p = noise.window(NoiseWindows::kCmp);
-  const double* ndac_p = noise.window(NoiseWindows::kDac);
-  const double* nbuf_p = noise.window(NoiseWindows::kBuf);
+  NoiseWindows noise(*t.tape, needed_);
+  // A streamed stimulus continues this worker's own copy of the
+  // generator, window by window, in the order make_test_tone runs it.
+  std::optional<dsp::ToneGenerator> tone;
+  if (t.tone != nullptr) tone.emplace(*t.tone);
   std::vector<LaneState> states(end - begin);
   double u_buf[kChunk];
+  double rf_buf[kChunk];
 
   const std::size_t bb_needed = t.settle_baseband + t.baseband_points;
   // CIC normalization: replicate the scalar gain accumulation exactly.
@@ -244,8 +298,21 @@ void ReceiverBatch::run_lanes(std::size_t begin, std::size_t end,
   bool all_done = false;
   for (std::size_t base = 0; base < n && !all_done; base += kChunk) {
     const std::size_t m = std::min(kChunk, n - base);
-    const double* rf_p = t.rf.data() + base;
-    noise.draw(m);
+    const double* rf_p = rf_buf;
+    if (tone) {
+      for (std::size_t k = 0; k < m; ++k) rf_buf[k] = tone->next();
+    } else {
+      rf_p = t.rf.data() + base;
+    }
+    noise.next(base, m);
+    const double* nvg_p = noise.window[NoiseTape::kVg];
+    const double* ngm_p = noise.window[NoiseTape::kGm];
+    const double* nt1_p = noise.window[NoiseTape::kT1];
+    const double* nt2_p = noise.window[NoiseTape::kT2];
+    const double* npre_p = noise.window[NoiseTape::kPre];
+    const double* ncmp_p = noise.window[NoiseTape::kCmp];
+    const double* ndac_p = noise.window[NoiseTape::kDac];
+    const double* nbuf_p = noise.window[NoiseTape::kBuf];
     // Modulator captures run to the end of the stimulus; receiver
     // captures stop once every lane has written its baseband output.
     all_done = t.run_backend;
@@ -489,31 +556,65 @@ void ReceiverBatch::run_lanes(std::size_t begin, std::size_t end,
       all_done = all_done && s.done;
     }
   }
+  return {noise.drawn, noise.replayed};
 }
 
 std::vector<double> ReceiverBatch::capture_modulator(
     std::span<const double> rf, std::size_t settle, par::ThreadPool& pool) {
-  ANALOCK_SPAN_QUIET("rf.batch.capture_modulator");
-  assert(rf.size() > settle);
-  std::vector<double> out(lanes_ * (rf.size() - settle));
   Transient t;
+  t.n = rf.size();
   t.rf = rf;
-  t.settle = settle;
-  t.mod_out = out;
-  run(t, pool);
-  return out;
+  return run_modulator(t, settle, pool);
+}
+
+std::vector<double> ReceiverBatch::capture_modulator(
+    const dsp::ToneGenerator& tone, std::size_t n, std::size_t settle,
+    par::ThreadPool& pool) {
+  Transient t;
+  t.n = n;
+  t.tone = &tone;
+  return run_modulator(t, settle, pool);
 }
 
 std::vector<std::complex<double>> ReceiverBatch::capture_receiver(
     std::span<const double> rf, std::size_t settle,
     std::size_t baseband_points, std::size_t settle_baseband,
     par::ThreadPool& pool) {
+  Transient t;
+  t.n = rf.size();
+  t.rf = rf;
+  return run_receiver(t, settle, baseband_points, settle_baseband, pool);
+}
+
+std::vector<std::complex<double>> ReceiverBatch::capture_receiver(
+    const dsp::ToneGenerator& tone, std::size_t n, std::size_t settle,
+    std::size_t baseband_points, std::size_t settle_baseband,
+    par::ThreadPool& pool) {
+  Transient t;
+  t.n = n;
+  t.tone = &tone;
+  return run_receiver(t, settle, baseband_points, settle_baseband, pool);
+}
+
+std::vector<double> ReceiverBatch::run_modulator(Transient& t,
+                                                 std::size_t settle,
+                                                 par::ThreadPool& pool) {
+  ANALOCK_SPAN_QUIET("rf.batch.capture_modulator");
+  assert(t.n > settle);
+  std::vector<double> out(lanes_ * (t.n - settle));
+  t.settle = settle;
+  t.mod_out = out;
+  run(t, pool);
+  return out;
+}
+
+std::vector<std::complex<double>> ReceiverBatch::run_receiver(
+    Transient& t, std::size_t settle, std::size_t baseband_points,
+    std::size_t settle_baseband, par::ThreadPool& pool) {
   ANALOCK_SPAN_QUIET("rf.batch.capture_receiver");
-  assert(rf.size() >=
+  assert(t.n >=
          receiver_input_length(baseband_points, settle, settle_baseband));
   std::vector<std::complex<double>> out(lanes_ * baseband_points);
-  Transient t;
-  t.rf = rf;
   t.settle = settle;
   t.run_backend = true;
   t.baseband_points = baseband_points;

@@ -1,7 +1,8 @@
 // Bit-exactness and infrastructure tests for the evaluation engine: FFT
-// plans, the thread pool, batched periodograms, and the LockEvaluator
+// plans, the thread pool, batched periodograms, the LockEvaluator
 // oracles (one-key calls and BatchEvaluator batches alike) against a
-// reference built directly on the scalar rf::Receiver.
+// reference built directly on the scalar rf::Receiver, and the noise
+// tape each evaluator replays.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -16,6 +17,7 @@
 #include "lock/batch_evaluator.h"
 #include "lock/evaluator.h"
 #include "lock/key_layout.h"
+#include "obs/metrics.h"
 #include "par/thread_pool.h"
 #include "rf/receiver.h"
 #include "rf/receiver_batch.h"
@@ -582,6 +584,238 @@ TEST(BatchEvaluator, TrialCountsMatchScalar) {
   EXPECT_EQ(many.trial_counts().snr_receiver, 2 * keys.size());
   EXPECT_TRUE(batch.snr_receiver_db({}).empty());
   EXPECT_EQ(many.trial_counts().snr_receiver, 2 * keys.size());
+}
+
+// ---------------------------------------------------------------------
+// Noise tape replay
+// ---------------------------------------------------------------------
+
+using L = lock::KeyLayout;
+
+/// Keys that read every combination of the lazily taped streams: Gmin
+/// and the output buffer, each on or off.
+std::vector<Key64> stream_switching_keys(std::uint64_t seed) {
+  const Key64 base = test_keys(seed, 0)[1];
+  std::vector<Key64> keys;
+  for (const bool gmin : {false, true}) {
+    for (const bool buffer : {false, true}) {
+      keys.push_back(base.with_bit(L::kGminEnable, gmin)
+                         .with_bit(L::kBufferInPath, buffer)
+                         .with_field(L::kTestMux, 0));
+    }
+  }
+  return keys;
+}
+
+std::vector<rf::ReceiverConfig> configs_of(std::span<const Key64> keys,
+                                           const rf::Standard& standard) {
+  std::vector<rf::ReceiverConfig> configs;
+  for (const Key64& key : keys) {
+    configs.push_back(lock::decode_key(key, standard.digital_mode));
+  }
+  return configs;
+}
+
+TEST(NoiseTape, ReplayMatchesScalarAroundTheTapeEnd) {
+  // Transients that end one sample short of, exactly at and one sample
+  // past the tape, for a tape that ends on a window edge (4096) and one
+  // that ends mid-window (5000). Every capture runs twice on one tape —
+  // the first call draws it, the second replays it — and both must equal
+  // the scalar receiver and a batch without a tape.
+  sim::Rng chip_rng(4242);
+  const auto pv = sim::ProcessVariation::monte_carlo(chip_rng, 0);
+  const rf::Standard& standard = rf::standard_max_3ghz();
+  const sim::Rng rng = chip_rng.fork("receiver");
+  const auto keys = stream_switching_keys(4243);
+  const auto configs = configs_of(keys, standard);
+  const std::size_t settle = 300;
+  par::ThreadPool pool(2);
+  for (const std::size_t tape_len : {4096u, 5000u}) {
+    for (const std::size_t n : {tape_len - 1, tape_len, tape_len + 1}) {
+      SCOPED_TRACE(testing::Message() << "tape " << tape_len << " n " << n);
+      const auto rf_in = rf::make_test_tone(standard, -25.0, n);
+      rf::NoiseTape tape(rng, tape_len);
+      rf::ReceiverBatch untaped(standard, pv, rng, configs);
+      const auto expected = untaped.capture_modulator(rf_in, settle, pool);
+      for (int call = 0; call < 2; ++call) {
+        rf::ReceiverBatch batch(standard, pv, rng, configs, &tape);
+        EXPECT_EQ(expected, batch.capture_modulator(rf_in, settle, pool))
+            << "call " << call;
+      }
+      for (std::size_t l = 0; l < configs.size(); ++l) {
+        rf::Receiver receiver(standard, pv, rng);
+        receiver.configure(configs[l]);
+        const auto capture = receiver.capture_modulator(rf_in, settle);
+        ASSERT_EQ(capture.output.size(), n - settle);
+        for (std::size_t k = 0; k < n - settle; ++k) {
+          ASSERT_EQ(capture.output[k], expected[l * (n - settle) + k])
+              << "lane " << l << " sample " << k;
+        }
+      }
+    }
+  }
+}
+
+TEST(NoiseTape, StreamedReceiverCaptureMatchesScalarPastTheTape) {
+  // A receiver capture runs several windows past a mid-window tape end,
+  // with its stimulus streamed from a tone generator.
+  sim::Rng chip_rng(77);
+  const auto pv = sim::ProcessVariation::monte_carlo(chip_rng, 1);
+  const rf::Standard& standard = rf::standard_bluetooth();
+  const sim::Rng rng = chip_rng.fork("receiver");
+  const std::size_t settle = 500, points = 128, settle_bb = 16;
+  const std::size_t n = rf::receiver_input_length(points, settle, settle_bb);
+  const auto configs = configs_of(stream_switching_keys(78), standard);
+  const auto tone = rf::test_tone(standard, -30.0);
+  const auto rf_in = rf::make_test_tone(standard, -30.0, n);
+  rf::NoiseTape tape(rng, 5000);
+  par::ThreadPool pool(3);
+  for (int call = 0; call < 2; ++call) {
+    rf::ReceiverBatch batch(standard, pv, rng, configs, &tape);
+    const auto bb =
+        batch.capture_receiver(tone, n, settle, points, settle_bb, pool);
+    for (std::size_t l = 0; l < configs.size(); ++l) {
+      rf::Receiver receiver(standard, pv, rng);
+      receiver.configure(configs[l]);
+      const auto capture =
+          receiver.capture_receiver(rf_in, settle, settle_bb);
+      ASSERT_GE(capture.baseband.samples.size(), points);
+      for (std::size_t k = 0; k < points; ++k) {
+        ASSERT_EQ(capture.baseband.samples[k], bb[l * points + k])
+            << "call " << call << " lane " << l << " sample " << k;
+      }
+    }
+  }
+}
+
+/// Options whose tape (settle + fft_size = 5096) ends mid-window, with
+/// SFDR and receiver transients that run past it.
+lock::EvaluatorOptions mid_window_tape_options() {
+  lock::EvaluatorOptions opt;
+  opt.settle = 1000;
+  opt.fft_size = 4096;
+  opt.sfdr_fft_size = 8192;
+  opt.baseband_points = 64;
+  return opt;
+}
+
+TEST(NoiseTape, InterleavedOraclesMatchReferenceAndFreshEvaluators) {
+  // One evaluator serves receiver, modulator and SFDR trials in turn, one
+  // key and many keys at a time, and its keys switch Gmin and the output
+  // buffer on and off, so streams join the tape between calls. Every
+  // reading equals the scalar reference and a fresh evaluator's first
+  // call.
+  sim::Rng chip_rng(8080);
+  const auto pv = sim::ProcessVariation::monte_carlo(chip_rng, 0);
+  const rf::Standard& standard = rf::standard_max_3ghz();
+  const lock::EvaluatorOptions opt = mid_window_tape_options();
+  const sim::Rng chip = chip_rng.fork("chip");
+  ReferenceOracle ref(standard, pv, chip, opt);
+  LockEvaluator ev(standard, pv, chip, opt);
+  par::ThreadPool pool(2);
+  auto fresh = [&] { return LockEvaluator(standard, pv, chip, opt); };
+
+  const auto keys = stream_switching_keys(8081);
+  for (const Key64& key : keys) {
+    EXPECT_EQ(ref.snr_receiver_db(key), ev.snr_receiver_db(key));
+    EXPECT_EQ(fresh().snr_receiver_db(key), ev.snr_receiver_db(key));
+    EXPECT_EQ(ref.snr_modulator_db(key), ev.snr_modulator_db(key));
+    EXPECT_EQ(fresh().snr_modulator_db(key), ev.snr_modulator_db(key));
+    EXPECT_EQ(ref.sfdr_db(key), ev.sfdr_db(key));
+    EXPECT_EQ(fresh().sfdr_db(key), ev.sfdr_db(key));
+  }
+  const auto rx = ev.snr_receiver_db(keys, opt.input_dbm, pool);
+  const auto mod = ev.snr_modulator_db(keys, opt.input_dbm, pool);
+  const auto sfdr = ev.sfdr_db(keys, opt.two_tone_dbm, pool);
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    EXPECT_EQ(ref.snr_receiver_db(keys[i]), rx[i]) << i;
+    EXPECT_EQ(ref.snr_modulator_db(keys[i]), mod[i]) << i;
+    EXPECT_EQ(ref.sfdr_db(keys[i]), sfdr[i]) << i;
+  }
+  // A fresh evaluator whose first call is a many-key batch.
+  LockEvaluator batch_first = fresh();
+  const auto reports = batch_first.evaluate(keys, pool);
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    expect_reports_equal(ref.evaluate(keys[i]), reports[i], i);
+  }
+}
+
+TEST(NoiseTape, FaultInjectorParityAcrossReplays) {
+  // Stuck-at bits decide per call which streams a key needs; readings
+  // and the injector's tallies must follow the reference through
+  // repeated, interleaved calls.
+  fault::FaultPlan plan;
+  plan.seed = 2718;
+  plan.meas_spike_prob = 0.3;
+  plan.meas_dropout_prob = 0.1;
+  plan.stuck_at0_bits = 3;
+  plan.stuck_at1_bits = 2;
+  sim::Rng chip_rng(31337);
+  const auto pv = sim::ProcessVariation::monte_carlo(chip_rng, 0);
+  const rf::Standard& standard = rf::standard_max_3ghz();
+  const lock::EvaluatorOptions opt = mid_window_tape_options();
+  fault::FaultInjector ref_injector(plan);
+  fault::FaultInjector injector(plan);
+  ReferenceOracle ref(standard, pv, chip_rng.fork("chip"), opt,
+                      &ref_injector);
+  LockEvaluator ev(standard, pv, chip_rng.fork("chip"), opt);
+  ev.set_fault_injector(&injector);
+  const auto keys = stream_switching_keys(31338);
+  for (int round = 0; round < 2; ++round) {
+    for (const Key64& key : keys) {
+      EXPECT_EQ(ref.snr_modulator_db(key), ev.snr_modulator_db(key));
+      expect_reports_equal(ref.evaluate(key), ev.evaluate(key), round);
+      EXPECT_EQ(ref.sfdr_db(key), ev.sfdr_db(key));
+    }
+  }
+  EXPECT_EQ(ref_injector.counts().meas_spikes, injector.counts().meas_spikes);
+  EXPECT_EQ(ref_injector.counts().meas_dropouts,
+            injector.counts().meas_dropouts);
+  EXPECT_EQ(ref_injector.counts().words_stuck, injector.counts().words_stuck);
+  EXPECT_GT(injector.counts().meas_spikes, 0u);
+}
+
+TEST(NoiseTape, WorkCountersForOneKey) {
+  // Default options: the tape holds settle + fft_size = 10240 deviates
+  // per stream. A key with Gmin on and the output buffer off reads seven
+  // of the eight streams. Receiver (134,208 samples) and SFDR (18,432)
+  // trials replay the tape, then draw the rest of each stream.
+  obs::Registry& reg = obs::registry();
+  const bool was_enabled = reg.enabled();
+  reg.set_enabled(true);
+  obs::Counter& drawn = reg.counter("rf.noise.drawn");
+  obs::Counter& replayed = reg.counter("rf.noise.replayed");
+  struct Delta {
+    std::uint64_t drawn, replayed;
+  };
+  auto measure = [&](auto&& trial) {
+    const std::uint64_t d0 = drawn.value(), r0 = replayed.value();
+    (void)trial();
+    return Delta{drawn.value() - d0, replayed.value() - r0};
+  };
+
+  sim::Rng chip_rng(12);
+  const auto pv = sim::ProcessVariation::monte_carlo(chip_rng, 0);
+  LockEvaluator ev(rf::standard_max_3ghz(), pv, chip_rng.fork("chip"));
+  const Key64 key = test_keys(13, 0)[1]
+                        .with_bit(L::kGminEnable, true)
+                        .with_bit(L::kBufferInPath, false);
+  constexpr std::uint64_t kStreams = 7;
+  constexpr std::uint64_t kTape = 2048 + 8192;
+
+  const Delta mod1 = measure([&] { return ev.snr_modulator_db(key); });
+  EXPECT_EQ(mod1.drawn, kStreams * kTape);
+  EXPECT_EQ(mod1.replayed, kStreams * kTape);
+  const Delta mod2 = measure([&] { return ev.snr_modulator_db(key); });
+  EXPECT_EQ(mod2.drawn, 0u);
+  EXPECT_EQ(mod2.replayed, kStreams * kTape);
+  const Delta rx = measure([&] { return ev.snr_receiver_db(key); });
+  EXPECT_EQ(rx.drawn, kStreams * (134208 - kTape));
+  EXPECT_EQ(rx.replayed, kStreams * kTape);
+  const Delta sfdr = measure([&] { return ev.sfdr_db(key); });
+  EXPECT_EQ(sfdr.drawn, kStreams * (18432 - kTape));
+  EXPECT_EQ(sfdr.replayed, kStreams * kTape);
+  reg.set_enabled(was_enabled);
 }
 
 }  // namespace

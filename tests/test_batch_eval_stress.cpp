@@ -11,6 +11,7 @@
 #include "dsp/fft.h"
 #include "lock/batch_evaluator.h"
 #include "lock/evaluator.h"
+#include "lock/key_layout.h"
 #include "par/thread_pool.h"
 #include "rf/standards.h"
 #include "sim/process.h"
@@ -49,6 +50,10 @@ TEST(BatchStress, ConcurrentTwiddleCache) {
 }
 
 TEST(BatchStress, BatchedEvaluationUnderThreads) {
+  // The first 4-thread call draws the evaluator's noise tape on the
+  // caller thread before the workers read it; the second replays it.
+  // Toggling buffer_in_path in between adds the buffer stream to the
+  // tape between calls. Every reading must equal a 1-thread evaluator's.
   sim::Rng chip_rng(9001);
   const auto pv = sim::ProcessVariation::monte_carlo(chip_rng, 0);
   lock::EvaluatorOptions opt;
@@ -58,18 +63,34 @@ TEST(BatchStress, BatchedEvaluationUnderThreads) {
   opt.settle = 128;
   lock::LockEvaluator ev(rf::standard_max_3ghz(), pv, chip_rng.fork("chip"),
                          opt);
+  lock::LockEvaluator ev1(rf::standard_max_3ghz(), pv, chip_rng.fork("chip"),
+                          opt);
   par::ThreadPool pool(4);
+  par::ThreadPool pool1(1);
   lock::BatchEvaluator batch(ev, &pool);
+  lock::BatchEvaluator batch1(ev1, &pool1);
 
   sim::Rng key_rng(17);
   std::vector<Key64> keys;
-  for (int i = 0; i < 12; ++i) keys.push_back(Key64::random(key_rng));
-  const auto reports = batch.evaluate_batch(keys);
-  ASSERT_EQ(reports.size(), keys.size());
-  const auto again = batch.evaluate_batch(keys);
-  for (std::size_t i = 0; i < keys.size(); ++i) {
-    EXPECT_EQ(reports[i].snr_receiver_db, again[i].snr_receiver_db) << i;
+  for (int i = 0; i < 12; ++i) {
+    keys.push_back(Key64::random(key_rng).with_bit(
+        lock::KeyLayout::kBufferInPath, false));
   }
+  const auto expect_equal = [&](const auto& got) {
+    const auto want = batch1.evaluate_batch(keys);
+    ASSERT_EQ(got.size(), want.size());
+    for (std::size_t i = 0; i < keys.size(); ++i) {
+      EXPECT_EQ(want[i].snr_modulator_db, got[i].snr_modulator_db) << i;
+      EXPECT_EQ(want[i].snr_receiver_db, got[i].snr_receiver_db) << i;
+      EXPECT_EQ(want[i].sfdr_db, got[i].sfdr_db) << i;
+    }
+  };
+  expect_equal(batch.evaluate_batch(keys));
+  for (std::size_t i = 0; i < keys.size(); i += 2) {
+    keys[i] = keys[i].with_bit(lock::KeyLayout::kBufferInPath, true);
+  }
+  expect_equal(batch.evaluate_batch(keys));
+  expect_equal(batch.evaluate_batch(keys));
 }
 
 }  // namespace
