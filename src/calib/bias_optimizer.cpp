@@ -82,10 +82,11 @@ void BiasOptimizer::sweep_field(rf::ReceiverConfig& config,
   *field = best_code;
 }
 
-rf::ReceiverConfig BiasOptimizer::optimize(const rf::ReceiverConfig& start) {
+rf::ReceiverConfig BiasOptimizer::optimize(const rf::ReceiverConfig& start,
+                                           std::size_t passes) {
   rf::ReceiverConfig config = start;
   double best_score = score(config);
-  for (std::size_t pass = 0; pass < options_.passes; ++pass) {
+  for (std::size_t pass = 0; pass < passes; ++pass) {
     // Step 11: loop delay according to Fs (trim against parasitics).
     sweep_field(config, &config.modulator.loop_delay, 15, best_score);
     // Step 14 order: Gmin, feedback DAC, pre-amplifier, comparator.

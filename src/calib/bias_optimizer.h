@@ -55,7 +55,12 @@ class BiasOptimizer {
   /// Optimizes loop delay + the four bias words in place; returns the
   /// improved configuration. `config` must already have the tank codes
   /// set and the mode bits in mission state.
-  rf::ReceiverConfig optimize(const rf::ReceiverConfig& config);
+  rf::ReceiverConfig optimize(const rf::ReceiverConfig& config) {
+    return optimize(config, options_.passes);
+  }
+  /// Same search with an explicit number of coordinate-descent passes.
+  rf::ReceiverConfig optimize(const rf::ReceiverConfig& config,
+                              std::size_t passes);
 
   [[nodiscard]] std::size_t measurements() const {
     return evaluator_.trials();

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdlib>
-#include <optional>
 #include <utility>
 #include <vector>
 
@@ -274,46 +273,39 @@ CalibrationResult Calibrator::run_impl(
 
   // Steps 11 + 14: loop delay and iterative bias improvement by measured
   // SNR of the modulator (fused inside the optimizer, charged to step 14).
-  // Each optimizer and evaluator below holds a noise tape, so each one's
-  // lifetime ends before the next one is built.
-  std::optional<BiasOptimizer> optimizer(std::in_place, *standard_, process_,
-                                         chip_rng_, options_.bias);
-  optimizer->set_fault_injector(injector_);
+  // The optimizer and the final evaluator each hold a noise tape, so the
+  // optimizer's lifetime ends before the evaluator is built.
   {
-    ANALOCK_SPAN("calib.step11_14_bias_opt");
-    config = optimizer->optimize(config);
-  }
-  log_step(11, "loop delay trimmed",
-           static_cast<double>(config.modulator.loop_delay));
-  const double optimized_snr_db = optimizer->measure_snr(config);
-  log_step(14, "iterative bias optimization", optimized_snr_db,
-           optimizer->measurements());
+    BiasOptimizer optimizer(*standard_, process_, chip_rng_, options_.bias);
+    optimizer.set_fault_injector(injector_);
+    {
+      ANALOCK_SPAN("calib.step11_14_bias_opt");
+      config = optimizer.optimize(config);
+    }
+    log_step(11, "loop delay trimmed",
+             static_cast<double>(config.modulator.loop_delay));
+    const double optimized_snr_db = optimizer.measure_snr(config);
+    log_step(14, "iterative bias optimization", optimized_snr_db,
+             optimizer.measurements());
 
-  // Step 12: VGLNA gain per input segment.
-  if (options_.tune_vglna_segments) {
-    ANALOCK_SPAN("calib.step12_vglna");
-    const std::size_t opt_before = optimizer->measurements();
-    for (std::size_t s = 0; s < kInputSegments.size(); ++s) {
-      result.vglna_per_segment[s] =
-          tune_vglna_segment(config, kInputSegments[s], *optimizer);
+    // Step 12: VGLNA gain per input segment, then one refining pass.
+    if (options_.tune_vglna_segments) {
+      ANALOCK_SPAN("calib.step12_vglna");
+      const std::size_t opt_before = optimizer.measurements();
+      for (std::size_t s = 0; s < kInputSegments.size(); ++s) {
+        result.vglna_per_segment[s] =
+            tune_vglna_segment(config, kInputSegments[s], optimizer);
+      }
+      config.vglna_gain = result.vglna_per_segment[kReferenceSegment];
+      if (options_.refine_after_vglna) {
+        config = optimizer.optimize(config, /*passes=*/1);
+      }
+      log_step(12, "VGLNA tuned per input segment",
+               static_cast<double>(config.vglna_gain),
+               optimizer.measurements() - opt_before);
+    } else {
+      result.vglna_per_segment = {15, config.vglna_gain, 2};
     }
-    config.vglna_gain = result.vglna_per_segment[kReferenceSegment];
-    std::uint64_t step12_measurements =
-        optimizer->measurements() - opt_before;
-    optimizer.reset();
-    if (options_.refine_after_vglna) {
-      BiasOptimizer::Options one_pass = options_.bias;
-      one_pass.passes = 1;
-      BiasOptimizer refiner(*standard_, process_, chip_rng_, one_pass);
-      refiner.set_fault_injector(injector_);
-      config = refiner.optimize(config);
-      step12_measurements += refiner.measurements();
-    }
-    log_step(12, "VGLNA tuned per input segment",
-             static_cast<double>(config.vglna_gain), step12_measurements);
-  } else {
-    result.vglna_per_segment = {15, config.vglna_gain, 2};
-    optimizer.reset();
   }
 
   // Final characterization with the full-length paper metrology. The
