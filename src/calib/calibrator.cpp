@@ -352,22 +352,23 @@ CalibrationResult Calibrator::run_impl(
   // Graceful degradation: when the chip misses spec under hardening, run
   // recovery bias passes within the retry budget — a faulted optimizer
   // pass can leave biases in a poor spot that one clean pass fixes.
-  // Divergence detection stops retries that make the chip worse.
+  // Divergence detection stops retries that make the chip worse. One
+  // recovery optimizer serves every attempt, so its noise tape is drawn
+  // once.
   FailureReason failure = FailureReason::kNone;
   if (harden && !meets_spec()) {
     double prev_snr = result.snr_receiver_db;
+    BiasOptimizer recovery(*standard_, process_, chip_rng_, options_.bias);
+    recovery.set_fault_injector(injector_);
     for (unsigned attempt = 1; attempt <= max_retries; ++attempt) {
       step_retry(14, attempt);
-      BiasOptimizer::Options one_pass = options_.bias;
-      one_pass.passes = 1;
-      BiasOptimizer recovery(*standard_, process_, chip_rng_, one_pass);
-      recovery.set_fault_injector(injector_);
-      config = recovery.optimize(config);
+      const std::size_t before = recovery.measurements();
+      config = recovery.optimize(config, /*passes=*/1);
       result.config = config;
       result.key = lock::encode_key(config);
       characterize();  // trials charged with the final evaluator total
       log_step(14, "spec-recovery bias pass", result.snr_receiver_db,
-               recovery.measurements(), 1);
+               recovery.measurements() - before, 1);
       if (meets_spec()) break;
       if (result.snr_receiver_db <
           prev_snr - options_.hardening.divergence_margin_db) {

@@ -70,7 +70,6 @@ FrequencyMeasurement OscillationTuner::measure_at_q(std::uint32_t cap_coarse,
   rf::ReceiverConfig cfg = chip_->config();
   cfg.modulator = oscillation_mode_config(cap_coarse, cap_fine, q_code);
   chip_->configure(cfg);
-  chip_->reset();
   const std::vector<double> zeros(settle + options_.measure, 0.0);
   const auto capture = chip_->capture_modulator(zeros, settle);
   return measure_frequency(capture.output, chip_->fs_hz(),

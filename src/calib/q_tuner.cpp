@@ -16,7 +16,6 @@ bool QTuner::oscillates(std::uint32_t cap_coarse, std::uint32_t cap_fine,
   rf::ReceiverConfig cfg = chip_->config();
   cfg.modulator = oscillation_mode_config(cap_coarse, cap_fine, q_code);
   chip_->configure(cfg);
-  chip_->reset();
   const std::vector<double> zeros(options_.settle + options_.measure, 0.0);
   const auto capture = chip_->capture_modulator(zeros, options_.settle);
   double sum_sq = 0.0;

@@ -72,7 +72,6 @@ double BpSigmaDelta::step(double v_rf) {
 
   // Quantizer path.
   const double pre = preamp_.process(s2);
-  last_pre_ = pre;
   const double y = comparator_.process(pre);
 
   // Feedback DAC re-slices its input (it is a digital cell) and drives the
@@ -98,16 +97,11 @@ double BpSigmaDelta::step(double v_rf) {
   return out;
 }
 
-ModulatorCapture BpSigmaDelta::run(std::span<const double> rf,
-                                   std::size_t settle) {
-  ModulatorCapture capture;
-  capture.fs_hz = fs_hz_;
-  capture.output.reserve(rf.size() > settle ? rf.size() - settle : 0);
-  for (std::size_t i = 0; i < rf.size(); ++i) {
-    const double y = step(rf[i]);
-    if (i >= settle) capture.output.push_back(y);
-  }
-  return capture;
+std::array<sim::Rng*, 7> BpSigmaDelta::noise_streams() {
+  return {&gmin_.noise_stream(),       &preamp_.noise_stream(),
+          &comparator_.noise_stream(), &dac_.noise_stream(),
+          &buffer_.noise_stream(),     &tank_noise1_.stream(),
+          &tank_noise2_.stream()};
 }
 
 void BpSigmaDelta::reset() {
@@ -116,7 +110,6 @@ void BpSigmaDelta::reset() {
   delay_.reset();
   u_hist_[0] = u_hist_[1] = 0.0;
   s1_hist_[0] = s1_hist_[1] = 0.0;
-  last_pre_ = 0.0;
 }
 
 }  // namespace analock::rf

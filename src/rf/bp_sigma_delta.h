@@ -11,8 +11,8 @@
 // is exactly the locking mechanism of the paper.
 #pragma once
 
+#include <array>
 #include <cstdint>
-#include <span>
 #include <vector>
 
 #include "rf/lc_tank.h"
@@ -94,15 +94,14 @@ class BpSigmaDelta {
   /// sample when the comparator clock is off or a test tap is selected).
   double step(double v_rf);
 
-  /// Runs a whole capture, discarding `settle` leading samples.
-  [[nodiscard]] ModulatorCapture run(std::span<const double> rf,
-                                     std::size_t settle = 0);
-
-  /// Internal nodes (the attacker of Section VI.A "can monitor internal
-  /// nodes"; calibration uses them through the output mux).
-  [[nodiscard]] double resonator1_state() const { return res1_.state(); }
+  /// Resonator-2 state (the attacker of Section VI.A "can monitor
+  /// internal nodes"; calibration sees it through the output mux).
   [[nodiscard]] double resonator2_state() const { return res2_.state(); }
-  [[nodiscard]] double comparator_input() const { return last_pre_; }
+
+  /// The blocks' live noise streams in the order the constructor forks
+  /// them: Gmin, pre-amp, comparator, DAC, output buffer, tank 1, tank 2.
+  /// rf::ReceiverBatch's one-lane form draws from them in place.
+  [[nodiscard]] std::array<sim::Rng*, 7> noise_streams();
 
   /// True when the configured -Gm code overcompensates the tank loss
   /// (open-loop oscillation; calibration steps 5-7).
@@ -134,7 +133,6 @@ class BpSigmaDelta {
   // Structural z^-2 histories of the resonator inputs.
   double u_hist_[2] = {0.0, 0.0};
   double s1_hist_[2] = {0.0, 0.0};
-  double last_pre_ = 0.0;
 };
 
 }  // namespace analock::rf

@@ -53,10 +53,6 @@ class DigitalBackend {
   [[nodiscard]] static std::vector<double> channel_taps_for_mode(
       std::uint32_t mode);
 
-  /// Feeds one modulator output sample; returns true and fills `out` when
-  /// a baseband sample is produced.
-  bool push(double modulator_sample, std::complex<double>& out);
-
   /// Processes a whole modulator capture, discarding `settle_out` leading
   /// baseband samples (filter fill-in).
   [[nodiscard]] BasebandCapture process(std::span<const double> modulator,
@@ -65,6 +61,10 @@ class DigitalBackend {
   void reset();
 
  private:
+  /// Feeds one modulator output sample; returns true and fills `out` when
+  /// a baseband sample is produced.
+  bool push(double modulator_sample, std::complex<double>& out);
+
   double fs_hz_;
   std::uint32_t mode_;
   double slicer_state_ = -1.0;

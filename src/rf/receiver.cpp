@@ -1,6 +1,10 @@
 #include "rf/receiver.h"
 
+#include <algorithm>
+
 #include "dsp/tonegen.h"
+#include "par/thread_pool.h"
+#include "rf/receiver_batch.h"
 
 namespace analock::rf {
 
@@ -8,8 +12,7 @@ Receiver::Receiver(const Standard& standard,
                    const sim::ProcessVariation& process, const sim::Rng& rng)
     : standard_(&standard),
       vglna_(process, rng.fork("receiver-vglna"), standard.fs_hz()),
-      modulator_(standard, process, rng.fork("receiver-modulator")),
-      backend_(standard.fs_hz(), standard.digital_mode) {
+      modulator_(standard, process, rng.fork("receiver-modulator")) {
   configure(ReceiverConfig{});
 }
 
@@ -17,51 +20,29 @@ void Receiver::configure(const ReceiverConfig& config) {
   config_ = config;
   vglna_.set_gain_code(config.vglna_gain);
   modulator_.configure(config.modulator);
-  if (config.digital_mode != backend_.digital_mode()) {
-    backend_ = DigitalBackend(standard_->fs_hz(), config.digital_mode);
-  }
-}
-
-double Receiver::step_analog(double v_rf) {
-  return modulator_.step(vglna_.process(v_rf));
 }
 
 ModulatorCapture Receiver::capture_modulator(std::span<const double> rf,
                                              std::size_t settle) {
-  ModulatorCapture capture;
-  capture.fs_hz = fs_hz();
-  capture.output.reserve(rf.size() > settle ? rf.size() - settle : 0);
-  for (std::size_t i = 0; i < rf.size(); ++i) {
-    const double y = step_analog(rf[i]);
-    if (i >= settle) capture.output.push_back(y);
-  }
-  return capture;
+  par::ThreadPool caller_thread(1);
+  return {ReceiverBatch(*this).capture_modulator(rf, settle, caller_thread),
+          fs_hz()};
 }
 
 ReceiverCapture Receiver::capture_receiver(std::span<const double> rf,
                                            std::size_t settle,
                                            std::size_t settle_baseband) {
-  ReceiverCapture capture;
-  capture.modulator.fs_hz = fs_hz();
-  capture.baseband.fs_hz = backend_.output_rate_hz();
-  std::complex<double> bb;
-  std::size_t produced = 0;
-  for (std::size_t i = 0; i < rf.size(); ++i) {
-    const double y = step_analog(rf[i]);
-    if (i < settle) continue;
-    capture.modulator.output.push_back(y);
-    if (backend_.push(y, bb)) {
-      if (produced >= settle_baseband) capture.baseband.samples.push_back(bb);
-      ++produced;
-    }
-  }
-  return capture;
-}
-
-void Receiver::reset() {
-  vglna_.reset();
-  modulator_.reset();
-  backend_.reset();
+  // Every baseband sample the whole of `rf` yields after the settle.
+  const std::size_t blocks =
+      rf.size() > settle
+          ? (rf.size() - settle) / DigitalBackend::kTotalDecimation
+          : 0;
+  const std::size_t points = blocks - std::min(blocks, settle_baseband);
+  par::ThreadPool caller_thread(1);
+  ReceiverBatch one(*this);
+  return {{one.capture_receiver(rf, settle, points, settle_baseband,
+                                caller_thread),
+           one.baseband_fs_hz()}};
 }
 
 std::size_t receiver_input_length(std::size_t baseband_points,

@@ -32,7 +32,6 @@ struct ReceiverConfig {
 
 /// Output of a full-receiver capture.
 struct ReceiverCapture {
-  ModulatorCapture modulator;
   BasebandCapture baseband;
 };
 
@@ -54,34 +53,33 @@ class Receiver {
   [[nodiscard]] BpSigmaDelta& modulator() { return modulator_; }
   [[nodiscard]] const BpSigmaDelta& modulator() const { return modulator_; }
 
-  /// One analog-path sample: antenna voltage in, modulator output out.
-  double step_analog(double v_rf);
+  // Captures run as a one-lane rf::ReceiverBatch on this chip, on the
+  // calling thread. Each starts from reset dynamic state (resonators,
+  // delay line, digital filters) and draws the chip's own noise streams,
+  // advancing each by one deviate per stimulus sample it is read on; the
+  // next capture continues the streams from there, as the ATE's
+  // successive measurements of one chip would.
 
-  /// Captures `n` modulator output samples after the settle time,
-  /// driving the analog path with `rf`. `rf.size()` must cover
-  /// settle + n samples.
+  /// Drives the analog path with `rf` (more than `settle` samples) and
+  /// returns the modulator outputs after the first `settle`.
   [[nodiscard]] ModulatorCapture capture_modulator(std::span<const double> rf,
                                                    std::size_t settle =
                                                        kSettleSamples);
 
-  /// Runs the full receive chain; `settle_baseband` leading baseband
-  /// samples are discarded on top of the analog settle time.
+  /// Runs the full receive chain over all of `rf`; `settle_baseband`
+  /// leading baseband samples are discarded on top of the analog settle
+  /// time.
   [[nodiscard]] ReceiverCapture capture_receiver(std::span<const double> rf,
                                                  std::size_t settle =
                                                      kSettleSamples,
                                                  std::size_t settle_baseband =
                                                      16);
 
-  /// Resets dynamic state (filters, resonators) without touching the
-  /// configuration.
-  void reset();
-
  private:
   const Standard* standard_;
   ReceiverConfig config_{};
   Vglna vglna_;
   BpSigmaDelta modulator_;
-  DigitalBackend backend_;
 };
 
 /// Number of input samples needed for a receiver capture that yields

@@ -40,6 +40,14 @@ std::array<sim::Rng, NoiseTape::kStreams> fork_noise_streams(
   return streams;
 }
 
+/// A chip's own noise streams, in NoiseTape::Stream order.
+std::array<sim::Rng*, NoiseTape::kStreams> live_noise_streams(
+    Receiver& chip) {
+  const auto mod = chip.modulator().noise_streams();
+  return {&chip.vglna().noise_stream(), mod[0], mod[1], mod[2], mod[3],
+          mod[4], mod[5], mod[6]};
+}
+
 }  // namespace
 
 NoiseTape::NoiseTape(const sim::Rng& rng, std::size_t length)
@@ -56,23 +64,32 @@ void NoiseTape::draw(Stream s) {
 
 /// One worker's view of the needed noise streams, one chunk window at a
 /// time. A window inside the tape points straight into it. Past the tape,
-/// deviates are drawn into the worker's own window buffer from the
-/// stream's saved post-tape state; a window that crosses the tape's end
-/// copies the tape's tail first. Lane values are formed as
-/// `0.0 + rms[lane] * g[k]`, the exact expression GaussianNoise applies
-/// per draw.
+/// deviates are drawn into the worker's own window buffer: from its own
+/// copy of the stream's saved post-tape state, or, in the live form
+/// (no tape), from the chip's stream itself, which they advance. A window
+/// that crosses the tape's end copies the tape's tail first. Lane values
+/// are formed as `0.0 + rms[lane] * g[k]`, the exact expression
+/// GaussianNoise applies per draw.
 struct ReceiverBatch::NoiseWindows {
-  NoiseWindows(const NoiseTape& source, const NeededStreams& mask)
+  NoiseWindows(const NoiseTape* source, const LiveStreams& live,
+               const NeededStreams& mask)
       : tape(source), needed(mask) {
     for (std::size_t i = 0; i < NoiseTape::kStreams; ++i) {
       const auto s = static_cast<NoiseTape::Stream>(i);
-      if (needed[s]) streams[s] = tape.after(s);
+      if (!needed[s]) continue;
+      if (tape == nullptr) {
+        stream[s] = live[s];
+      } else {
+        copies[s] = tape->after(s);
+        stream[s] = &copies[s];
+      }
     }
   }
 
-  const NoiseTape& tape;
+  const NoiseTape* tape;
   const NeededStreams& needed;
-  std::array<sim::Rng, NoiseTape::kStreams> streams;
+  std::array<sim::Rng, NoiseTape::kStreams> copies;
+  std::array<sim::Rng*, NoiseTape::kStreams> stream{};
   std::array<const double*, NoiseTape::kStreams> window{};
   std::vector<double> g;  ///< allocated once a window passes the tape
   std::uint64_t drawn = 0;
@@ -80,21 +97,22 @@ struct ReceiverBatch::NoiseWindows {
 
   /// Points every needed stream's window at its deviates [base, base + m).
   void next(std::size_t base, std::size_t m) {
+    const std::size_t length = tape != nullptr ? tape->length() : 0;
     const std::size_t on_tape =
-        base < tape.length() ? std::min(m, tape.length() - base) : 0;
+        base < length ? std::min(m, length - base) : 0;
     for (std::size_t i = 0; i < NoiseTape::kStreams; ++i) {
       const auto s = static_cast<NoiseTape::Stream>(i);
       if (!needed[s]) continue;
       replayed += on_tape;
       if (on_tape == m) {
-        window[s] = tape.prefix(s) + base;
+        window[s] = tape->prefix(s) + base;
         continue;
       }
       if (g.empty()) g.resize(NoiseTape::kStreams * kChunk);
       double* dst = &g[s * kChunk];
-      if (on_tape > 0) std::copy_n(tape.prefix(s) + base, on_tape, dst);
-      sim::Rng& stream = streams[s];
-      for (std::size_t k = on_tape; k < m; ++k) dst[k] = stream.gaussian();
+      if (on_tape > 0) std::copy_n(tape->prefix(s) + base, on_tape, dst);
+      sim::Rng& source = *stream[s];
+      for (std::size_t k = on_tape; k < m; ++k) dst[k] = source.gaussian();
       drawn += m - on_tape;
       window[s] = dst;
     }
@@ -150,100 +168,92 @@ ReceiverBatch::ReceiverBatch(const Standard& standard,
                              const sim::Rng& rng,
                              std::span<const ReceiverConfig> configs,
                              NoiseTape* tape)
-    : standard_(&standard),
-      tape_(tape),
-      own_tape_(rng, 0),
-      fs_hz_(standard.fs_hz()),
-      lanes_(configs.size()) {
-  assert(lanes_ > 0 && "batch needs at least one lane");
+    : tape_(tape), fs_hz_(standard.fs_hz()), consts_(configs.size()) {
+  assert(!configs.empty() && "batch needs at least one lane");
+  if (tape_ == nullptr) tape_ = &own_tape_.emplace(rng, 0);
   digital_mode_ = configs[0].digital_mode;
-
-  vg_stage_.resize(lanes_);
-  vg_rms_.resize(lanes_);
-  gmin_en_.resize(lanes_);
-  gm_eff_.resize(lanes_);
-  gm_iip3_.resize(lanes_);
-  gm_rms_.resize(lanes_);
-  fb_en_.resize(lanes_);
-  cos1_.resize(lanes_);
-  rad1_.resize(lanes_);
-  cos2_.resize(lanes_);
-  rad2_.resize(lanes_);
-  pre_gain_.resize(lanes_);
-  pre_rms_.resize(lanes_);
-  cmp_off_.resize(lanes_);
-  cmp_rms_.resize(lanes_);
-  cmp_clk_.resize(lanes_);
-  dac_lp_.resize(lanes_);
-  dac_lm_.resize(lanes_);
-  dac_rms_.resize(lanes_);
-  dly_whole_.resize(lanes_);
-  dly_frac_.resize(lanes_);
-  mux_.resize(lanes_);
-  buf_in_.resize(lanes_);
-  buf_gain_.resize(lanes_);
-  buf_rms_.resize(lanes_);
-
-  for (std::size_t l = 0; l < lanes_; ++l) {
-    const ReceiverConfig& cfg = configs[l];
-    assert(cfg.digital_mode == digital_mode_ &&
-           "batch lanes must share the digital mode");
+  for (std::size_t l = 0; l < configs.size(); ++l) {
     // Probe receiver: the scalar blocks own every config->parameter map;
     // harvest the configured constants instead of re-deriving them.
     Receiver probe(standard, process, rng);
-    probe.configure(cfg);
-
-    const Vglna& vg = probe.vglna();
-    vg_stage_[l] = vg.stages()[0];  // all five stages identical
-    vg_rms_[l] = vg.noise_rms();
-
-    const BpSigmaDelta& mod = probe.modulator();
-    const ModulatorConfig& mc = cfg.modulator;
-    gmin_en_[l] = mc.gmin_enable ? 1 : 0;
-    gm_eff_[l] = mod.gmin().effective_gm();
-    gm_iip3_[l] = mod.gmin().iip3_amplitude();
-    gm_rms_[l] = mod.gmin().noise_rms();
-    fb_en_[l] = mc.feedback_enable ? 1 : 0;
-    cos1_[l] = mod.resonator1().cos_theta();
-    rad1_[l] = mod.resonator1().radius();
-    cos2_[l] = mod.resonator2().cos_theta();
-    rad2_[l] = mod.resonator2().radius();
-    pre_gain_[l] = mod.preamp().effective_gain();
-    pre_rms_[l] = mod.preamp().noise_rms();
-    cmp_off_[l] = mod.comparator().effective_offset();
-    cmp_rms_[l] = mod.comparator().noise_rms();
-    cmp_clk_[l] = mod.comparator().clock_enabled() ? 1 : 0;
-    dac_lp_[l] = mod.dac().level_plus();
-    dac_lm_[l] = mod.dac().level_minus();
-    dac_rms_[l] = mod.dac().noise_rms();
-    // Same clamp/split the scalar FractionalDelayLine::read applies.
-    const double d = std::clamp(mod.delay_line().total_delay_samples(), 0.0,
-                                static_cast<double>(kDelayDepth - 2));
-    dly_whole_[l] = static_cast<std::size_t>(d);
-    dly_frac_[l] = d - static_cast<double>(dly_whole_[l]);
-    mux_[l] = static_cast<std::uint8_t>(mc.test_mux & 3u);
-    buf_in_[l] = mc.buffer_in_path ? 1 : 0;
-    buf_gain_[l] = mod.out_buffer().gain();
-    buf_rms_[l] = mod.out_buffer().noise_rms();
-
-    needed_[NoiseTape::kGm] = needed_[NoiseTape::kGm] || mc.gmin_enable;
-    needed_[NoiseTape::kBuf] = needed_[NoiseTape::kBuf] || mc.buffer_in_path;
+    probe.configure(configs[l]);
+    add_lane(l, probe);
   }
-
   hb_taps_ = dsp::design_halfband(kHbTaps);
   channel_taps_ = DigitalBackend::channel_taps_for_mode(digital_mode_);
 }
 
+ReceiverBatch::ReceiverBatch(Receiver& chip)
+    : live_(live_noise_streams(chip)),
+      fs_hz_(chip.fs_hz()),
+      digital_mode_(chip.config().digital_mode),
+      consts_(1) {
+  add_lane(0, chip);
+  hb_taps_ = dsp::design_halfband(kHbTaps);
+  channel_taps_ = DigitalBackend::channel_taps_for_mode(digital_mode_);
+}
+
+void ReceiverBatch::add_lane(std::size_t lane, const Receiver& chip) {
+  const ModulatorConfig& mc = chip.config().modulator;
+  assert(chip.config().digital_mode == digital_mode_ &&
+         "batch lanes must share the digital mode");
+  const Vglna& vg = chip.vglna();
+  const BpSigmaDelta& mod = chip.modulator();
+  // Same clamp/split the scalar FractionalDelayLine::read applies.
+  const double d = std::clamp(mod.delay_line().total_delay_samples(), 0.0,
+                              static_cast<double>(kDelayDepth - 2));
+  const auto dly_whole = static_cast<std::size_t>(d);
+  const LaneConstants c{
+      .vg_stage = vg.stages()[0],
+      .vg_rms = vg.noise_rms(),
+      .gmin_en = mc.gmin_enable,
+      .gm_eff = mod.gmin().effective_gm(),
+      .gm_iip3 = mod.gmin().iip3_amplitude(),
+      .gm_rms = mod.gmin().noise_rms(),
+      .fb_en = mc.feedback_enable,
+      .cos1 = mod.resonator1().cos_theta(),
+      .rad1 = mod.resonator1().radius(),
+      .cos2 = mod.resonator2().cos_theta(),
+      .rad2 = mod.resonator2().radius(),
+      .pre_gain = mod.preamp().effective_gain(),
+      .pre_rms = mod.preamp().noise_rms(),
+      .cmp_off = mod.comparator().effective_offset(),
+      .cmp_rms = mod.comparator().noise_rms(),
+      .cmp_clk = mod.comparator().clock_enabled(),
+      .dac_lp = mod.dac().level_plus(),
+      .dac_lm = mod.dac().level_minus(),
+      .dac_rms = mod.dac().noise_rms(),
+      .dly_whole = dly_whole,
+      .dly_frac = d - static_cast<double>(dly_whole),
+      .mux = static_cast<std::uint8_t>(mc.test_mux & 3u),
+      .buf_in = mc.buffer_in_path,
+      .buf_gain = mod.out_buffer().gain(),
+      .buf_rms = mod.out_buffer().noise_rms(),
+  };
+  // GaussianNoise skips its draw at RMS 0, but the kernel draws every
+  // stream a lane reads. No reachable code has RMS 0: bias_multiplier()
+  // floors at 0.01, so the 1/sqrt(m) terms stay finite; the comparator's
+  // process scale 1 + rel exceeds 0.14 (a Box-Muller deviate stays below
+  // 8.6 sigma); the DAC adds a fixed floor; the VGLNA's NF is >= 1 dB.
+  assert(c.vg_rms > 0.0 && c.gm_rms > 0.0 && c.pre_rms > 0.0 &&
+         c.cmp_rms > 0.0 && c.dac_rms > 0.0 && c.buf_rms > 0.0 &&
+         "every stream the kernel draws has a positive RMS");
+  consts_[lane] = c;
+  needed_[NoiseTape::kGm] = needed_[NoiseTape::kGm] || c.gmin_en;
+  needed_[NoiseTape::kBuf] = needed_[NoiseTape::kBuf] || c.buf_in;
+}
+
 void ReceiverBatch::run(Transient& t, par::ThreadPool& pool) {
-  NoiseTape& tape = tape_ != nullptr ? *tape_ : own_tape_;
-  for (std::size_t i = 0; i < NoiseTape::kStreams; ++i) {
-    const auto s = static_cast<NoiseTape::Stream>(i);
-    if (needed_[s]) tape.draw(s);
+  if (tape_ != nullptr) {
+    for (std::size_t i = 0; i < NoiseTape::kStreams; ++i) {
+      const auto s = static_cast<NoiseTape::Stream>(i);
+      if (needed_[s]) tape_->draw(s);
+    }
   }
-  t.tape = &tape;
+  t.tape = tape_;
   std::atomic<std::uint64_t> drawn{0};
   std::atomic<std::uint64_t> replayed{0};
-  pool.parallel_for(lanes_, [&](std::size_t begin, std::size_t end) {
+  pool.parallel_for(lanes(), [&](std::size_t begin, std::size_t end) {
     const NoiseWork work = run_lanes(begin, end, t);
     drawn += work.drawn;
     replayed += work.replayed;
@@ -275,7 +285,7 @@ ReceiverBatch::NoiseWork ReceiverBatch::run_lanes(std::size_t begin,
   const std::size_t n = t.n;
   const std::size_t settle = t.settle;
   const std::size_t n_mod = n > settle ? n - settle : 0;
-  NoiseWindows noise(*t.tape, needed_);
+  NoiseWindows noise(t.tape, live_, needed_);
   // A streamed stimulus continues this worker's own copy of the
   // generator, window by window, in the order make_test_tone runs it.
   std::optional<dsp::ToneGenerator> tone;
@@ -314,37 +324,21 @@ ReceiverBatch::NoiseWork ReceiverBatch::run_lanes(std::size_t begin,
     const double* ndac_p = noise.window[NoiseTape::kDac];
     const double* nbuf_p = noise.window[NoiseTape::kBuf];
     // Modulator captures run to the end of the stimulus; receiver
-    // captures stop once every lane has written its baseband output.
-    all_done = t.run_backend;
+    // captures stop once every lane has written its baseband output,
+    // except a live one (no tape): its borrowed streams must advance by
+    // one draw per stimulus sample, as the scalar chain's would.
+    all_done = t.run_backend && t.tape != nullptr;
     for (std::size_t l = begin; l < end; ++l) {
       LaneState s = states[l - begin];
       if (s.done) continue;
 
       // ---- per-lane constants -> registers ----------------------------
-      const Vglna::Stage st = vg_stage_[l];
-      const double vg_rms = vg_rms_[l];
-      const bool gmin_en = gmin_en_[l] != 0;
-      const double gm_eff = gm_eff_[l];
-      const double gm_iip3 = gm_iip3_[l];
-      const double gm_rms = gm_rms_[l];
-      const bool fb_en = fb_en_[l] != 0;
-      const double cos1 = cos1_[l], rad1 = rad1_[l];
-      const double cos2 = cos2_[l], rad2 = rad2_[l];
-      const double pre_gain = pre_gain_[l], pre_rms = pre_rms_[l];
-      const double cmp_off = cmp_off_[l], cmp_rms = cmp_rms_[l];
-      const bool cmp_clk = cmp_clk_[l] != 0;
-      const double dac_lp = dac_lp_[l], dac_lm = dac_lm_[l];
-      const double dac_rms = dac_rms_[l];
-      const std::size_t dly_whole = dly_whole_[l];
-      const double dly_frac = dly_frac_[l];
-      const std::uint8_t mux = mux_[l];
-      const bool buf_in = buf_in_[l] != 0;
-      const double buf_gain = buf_gain_[l], buf_rms = buf_rms_[l];
+      const LaneConstants lc = consts_[l];
       // The comparator's analog (unclocked) value only reaches the output
       // when the test mux selects it; otherwise downstream code consumes
       // nothing but sign(yq), and tanh is odd and monotone with
       // tanh(0) == 0, so the sign of its argument stands in bit-exactly.
-      const bool cmp_value_used = mux == 0;
+      const bool cmp_value_used = lc.mux == 0;
 
       double* mod_lane = t.run_backend ? nullptr : &t.mod_out[l * n_mod];
       std::complex<double>* bb_lane =
@@ -353,16 +347,16 @@ ReceiverBatch::NoiseWork ReceiverBatch::run_lanes(std::size_t begin,
       // ---- pass 1: stateless front end (VGLNA + transconductor) -------
       // A disabled transconductor pins the loop signal to zero, which
       // makes the whole VGLNA cascade dead code for this lane.
-      if (gmin_en) {
+      if (lc.gmin_en) {
         for (std::size_t k = 0; k < m; ++k) {
-          double y = rf_p[k] + (0.0 + vg_rms * nvg_p[k]);
-          y = st.process(y);
-          y = st.process(y);
-          y = st.process(y);
-          y = st.process(y);
-          y = st.process(y);
-          u_buf[k] =
-              gm_eff * cubic_soft(y, gm_iip3) + (0.0 + gm_rms * ngm_p[k]);
+          double y = rf_p[k] + (0.0 + lc.vg_rms * nvg_p[k]);
+          y = lc.vg_stage.process(y);
+          y = lc.vg_stage.process(y);
+          y = lc.vg_stage.process(y);
+          y = lc.vg_stage.process(y);
+          y = lc.vg_stage.process(y);
+          u_buf[k] = lc.gm_eff * cubic_soft(y, lc.gm_iip3) +
+                     (0.0 + lc.gm_rms * ngm_p[k]);
         }
       } else {
         std::fill(u_buf, u_buf + m, 0.0);
@@ -375,20 +369,20 @@ ReceiverBatch::NoiseWork ReceiverBatch::run_lanes(std::size_t begin,
 
         // Feedback sample from the fractional delay line.
         double fb = 0.0;
-        if (fb_en) {
+        if (lc.fb_en) {
           const std::size_t i0 =
-              (s.dpos + kDelayDepth - dly_whole) % kDelayDepth;
+              (s.dpos + kDelayDepth - lc.dly_whole) % kDelayDepth;
           const std::size_t i1 =
-              (s.dpos + kDelayDepth - dly_whole - 1) % kDelayDepth;
-          fb = (1.0 - dly_frac) * s.dbuf[i0] + dly_frac * s.dbuf[i1];
+              (s.dpos + kDelayDepth - lc.dly_whole - 1) % kDelayDepth;
+          fb = (1.0 - lc.dly_frac) * s.dbuf[i0] + lc.dly_frac * s.dbuf[i1];
         }
 
         const double s1 = Resonator::advance(
-            s.r1s1, s.r1s2, cos1, rad1,
+            s.r1s1, s.r1s2, lc.cos1, lc.rad1,
             -(s.u_hist - fb) +
                 (0.0 + BpSigmaDelta::kTankNoiseRms * nt1_p[k]));
         const double s2 = Resonator::advance(
-            s.r2s1, s.r2s2, cos2, rad2,
+            s.r2s1, s.r2s2, lc.cos2, lc.rad2,
             -(s.s1_hist - 2.0 * fb) +
                 (0.0 + BpSigmaDelta::kTankNoiseRms * nt2_p[k]));
         s.u_hist = s.u1;
@@ -398,11 +392,11 @@ ReceiverBatch::NoiseWork ReceiverBatch::run_lanes(std::size_t begin,
 
         // Quantizer path.
         const double pre =
-            std::clamp(pre_gain * s2 + (0.0 + pre_rms * npre_p[k]),
+            std::clamp(lc.pre_gain * s2 + (0.0 + lc.pre_rms * npre_p[k]),
                        -PreAmplifier::kRail, PreAmplifier::kRail);
-        const double v = pre + cmp_off + (0.0 + cmp_rms * ncmp_p[k]);
+        const double v = pre + lc.cmp_off + (0.0 + lc.cmp_rms * ncmp_p[k]);
         double yq;
-        if (cmp_clk) {
+        if (lc.cmp_clk) {
           yq = v >= 0.0 ? 1.0 : -1.0;
         } else if (cmp_value_used) {
           yq = Comparator::kBufferRail * std::tanh(v);
@@ -411,13 +405,13 @@ ReceiverBatch::NoiseWork ReceiverBatch::run_lanes(std::size_t begin,
         }
 
         // DAC drives the delay line whether or not the loop is closed.
-        const double fbv =
-            (yq >= 0.0 ? dac_lp : dac_lm) + (0.0 + dac_rms * ndac_p[k]);
+        const double fbv = (yq >= 0.0 ? lc.dac_lp : lc.dac_lm) +
+                           (0.0 + lc.dac_rms * ndac_p[k]);
         s.dpos = (s.dpos + 1) % kDelayDepth;
         s.dbuf[s.dpos] = fbv;
 
         double out = yq;
-        switch (mux) {
+        switch (lc.mux) {
           case 1:
             out = Comparator::kBufferRail * (s1 / Resonator::kStateRail);
             break;
@@ -430,8 +424,8 @@ ReceiverBatch::NoiseWork ReceiverBatch::run_lanes(std::size_t begin,
           default:
             break;
         }
-        if (buf_in) {
-          out = std::clamp(buf_gain * out + (0.0 + buf_rms * nbuf_p[k]),
+        if (lc.buf_in) {
+          out = std::clamp(lc.buf_gain * out + (0.0 + lc.buf_rms * nbuf_p[k]),
                            -OutputBuffer::kRail, OutputBuffer::kRail);
         }
 
@@ -601,7 +595,7 @@ std::vector<double> ReceiverBatch::run_modulator(Transient& t,
                                                  par::ThreadPool& pool) {
   ANALOCK_SPAN_QUIET("rf.batch.capture_modulator");
   assert(t.n > settle);
-  std::vector<double> out(lanes_ * (t.n - settle));
+  std::vector<double> out(lanes() * (t.n - settle));
   t.settle = settle;
   t.mod_out = out;
   run(t, pool);
@@ -612,9 +606,9 @@ std::vector<std::complex<double>> ReceiverBatch::run_receiver(
     Transient& t, std::size_t settle, std::size_t baseband_points,
     std::size_t settle_baseband, par::ThreadPool& pool) {
   ANALOCK_SPAN_QUIET("rf.batch.capture_receiver");
-  assert(t.n >=
-         receiver_input_length(baseband_points, settle, settle_baseband));
-  std::vector<std::complex<double>> out(lanes_ * baseband_points);
+  assert(t.n >= settle + (settle_baseband + baseband_points) *
+                             DigitalBackend::kTotalDecimation);
+  std::vector<std::complex<double>> out(lanes() * baseband_points);
   t.settle = settle;
   t.run_backend = true;
   t.baseband_points = baseband_points;

@@ -1,10 +1,15 @@
 // Structure-of-arrays batch stepper: advances N receiver configurations
-// (key candidates) in lockstep through one transient.
+// (key candidates) in lockstep through one transient. It is the one
+// stepping path of the simulator: every oracle trial runs on it, and so
+// does every rf::Receiver capture, as a one-lane run on the chip itself.
 //
 // Bit-exactness contract: for every lane, the produced capture equals —
-// to the last bit — what a freshly constructed scalar `rf::Receiver`
+// to the last bit — what stepping the scalar blocks of an `rf::Receiver`
 // seeded from the same `rng` and configured with the same
-// `ReceiverConfig` would produce. Three properties make that possible:
+// `ReceiverConfig` would produce, sample by sample through
+// `Vglna::process`, `BpSigmaDelta::step` and `DigitalBackend::process`
+// from reset dynamic state (that chain survives as the independent
+// reference in the tests). Three properties make that possible:
 //
 //   1. `sim::Rng::fork` is const and depends only on the parent's seed
 //      material, so every scalar receiver built from the same evaluator
@@ -21,10 +26,16 @@
 //      window size and the tape length, not by the transient length; a
 //      stimulus given as a `dsp::ToneGenerator` is synthesized one window
 //      at a time as well.
+//      The one-lane live form (`ReceiverBatch(Receiver&)`) has no tape: it
+//      borrows the chip's own streams and draws from them in place, one
+//      deviate per stimulus sample for each stream the chip's blocks
+//      would draw (Gmin only when enabled, the output buffer only when in
+//      path), so a capture leaves every stream exactly where the scalar
+//      chain would and the next capture continues from there.
 //   2. Every per-lane constant (gains, DAC levels, pole parameters,
 //      noise RMS values) is harvested from a probe scalar `Receiver`
-//      configured per lane — the config->parameter maps are never
-//      re-derived here.
+//      configured per lane (the chip itself in the live form) — the
+//      config->parameter maps are never re-derived here.
 //   3. The per-sample arithmetic is the same inline kernels the scalar
 //      blocks call (`Vglna::Stage::process`, `cubic_soft`,
 //      `Resonator::advance`, `soft_rail`), applied in the same order.
@@ -41,6 +52,7 @@
 #include <complex>
 #include <cstddef>
 #include <cstdint>
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -99,24 +111,35 @@ class ReceiverBatch {
                 std::span<const ReceiverConfig> configs,
                 NoiseTape* tape = nullptr);
 
-  [[nodiscard]] std::size_t lanes() const { return lanes_; }
+  /// The live one-lane form: one lane with `chip`'s current
+  /// configuration, whose captures draw the chip's own noise streams and
+  /// advance them in place (see contract 1). Every capture runs to the end of its
+  /// stimulus on the calling thread, whatever pool it is given. The batch
+  /// must not outlive `chip` or see it reconfigured.
+  explicit ReceiverBatch(Receiver& chip);
+
+  // Holds a pointer to its own zero-length tape.
+  ReceiverBatch(const ReceiverBatch&) = delete;
+  ReceiverBatch& operator=(const ReceiverBatch&) = delete;
+
+  [[nodiscard]] std::size_t lanes() const { return consts_.size(); }
   [[nodiscard]] double fs_hz() const { return fs_hz_; }
   /// Decimated baseband rate of capture_receiver outputs.
   [[nodiscard]] double baseband_fs_hz() const {
     return fs_hz_ / static_cast<double>(DigitalBackend::kTotalDecimation);
   }
 
-  /// Batched Receiver::capture_modulator: drives every lane with `rf`
-  /// and returns the post-settle modulator outputs, lane-major — lane l
-  /// occupies [l*(rf.size()-settle), (l+1)*(rf.size()-settle)).
+  /// Drives every lane with `rf` and returns the post-settle modulator
+  /// outputs, lane-major — lane l occupies
+  /// [l*(rf.size()-settle), (l+1)*(rf.size()-settle)).
   [[nodiscard]] std::vector<double> capture_modulator(
       std::span<const double> rf, std::size_t settle, par::ThreadPool& pool);
 
-  /// Batched Receiver::capture_receiver limited to the baseband product:
-  /// exactly `baseband_points` complex samples per lane, lane-major,
-  /// after dropping `settle_baseband` leading baseband outputs.
-  /// `rf.size()` must cover receiver_input_length(baseband_points,
-  /// settle, settle_baseband).
+  /// Runs the full receive chain and returns exactly `baseband_points`
+  /// complex samples per lane, lane-major, after dropping
+  /// `settle_baseband` leading baseband outputs. `rf.size()` must cover
+  /// settle + (settle_baseband + baseband_points) *
+  /// DigitalBackend::kTotalDecimation samples.
   [[nodiscard]] std::vector<std::complex<double>> capture_receiver(
       std::span<const double> rf, std::size_t settle,
       std::size_t baseband_points, std::size_t settle_baseband,
@@ -138,6 +161,11 @@ class ReceiverBatch {
   struct LaneState;
   struct Transient;
   using NeededStreams = std::array<bool, NoiseTape::kStreams>;
+  using LiveStreams = std::array<sim::Rng*, NoiseTape::kStreams>;
+
+  /// Harvests `chip`'s configured constants as lane `lane`'s and marks
+  /// the streams it reads.
+  void add_lane(std::size_t lane, const Receiver& chip);
 
   /// The capture bodies shared by the span and streaming forms: size the
   /// output, complete `t` and run it.
@@ -160,32 +188,38 @@ class ReceiverBatch {
   void run(Transient& t, par::ThreadPool& pool);
 
   /// Steps lanes [begin, end) through `t` one chunk window at a time,
-  /// stopping once every lane has produced its baseband output.
+  /// stopping once every lane has produced its baseband output (a live
+  /// capture runs to the end of the stimulus instead).
   NoiseWork run_lanes(std::size_t begin, std::size_t end,
                       const Transient& t) const;
 
-  const Standard* standard_;
-  NoiseTape* tape_;     ///< the caller's tape, or nullptr
-  NoiseTape own_tape_;  ///< zero-length stand-in when there is none
+  /// The caller's tape or `own_tape_`; nullptr in the live form.
+  NoiseTape* tape_ = nullptr;
+  std::optional<NoiseTape> own_tape_;  ///< zero-length stand-in
+  /// The live form's borrowed streams (the chip's own); null otherwise.
+  LiveStreams live_{};
   double fs_hz_;
-  std::size_t lanes_ = 0;
   std::uint32_t digital_mode_ = 0;
 
-  // Per-lane constants harvested from the probe receivers (SoA).
-  std::vector<Vglna::Stage> vg_stage_;  // all 5 scalar stages identical
-  std::vector<double> vg_rms_;
-  std::vector<std::uint8_t> gmin_en_;
-  std::vector<double> gm_eff_, gm_iip3_, gm_rms_;
-  std::vector<std::uint8_t> fb_en_;
-  std::vector<double> cos1_, rad1_, cos2_, rad2_;
-  std::vector<double> pre_gain_, pre_rms_;
-  std::vector<double> cmp_off_, cmp_rms_;
-  std::vector<std::uint8_t> cmp_clk_;
-  std::vector<double> dac_lp_, dac_lm_, dac_rms_;
-  std::vector<std::size_t> dly_whole_;
-  std::vector<double> dly_frac_;
-  std::vector<std::uint8_t> mux_, buf_in_;
-  std::vector<double> buf_gain_, buf_rms_;
+  /// One lane's constants, harvested from a configured receiver.
+  struct LaneConstants {
+    Vglna::Stage vg_stage;  ///< all five scalar stages are identical
+    double vg_rms;
+    bool gmin_en;
+    double gm_eff, gm_iip3, gm_rms;
+    bool fb_en;
+    double cos1, rad1, cos2, rad2;
+    double pre_gain, pre_rms;
+    double cmp_off, cmp_rms;
+    bool cmp_clk;
+    double dac_lp, dac_lm, dac_rms;
+    std::size_t dly_whole;
+    double dly_frac;
+    std::uint8_t mux;
+    bool buf_in;
+    double buf_gain, buf_rms;
+  };
+  std::vector<LaneConstants> consts_;
   /// Streams some lane reads: Gmin and the output buffer only when a lane
   /// enables them.
   NeededStreams needed_ = {true,  false, true, true,

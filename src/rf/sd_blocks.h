@@ -65,6 +65,7 @@ class Transconductor {
     return kIip3VoltsNominal * std::sqrt(bias_m_);
   }
   [[nodiscard]] double noise_rms() const { return noise_.rms(); }
+  [[nodiscard]] sim::Rng& noise_stream() { return noise_.stream(); }
 
   /// One sample: voltage in, normalized loop signal out.
   double process(double v_in);
@@ -88,6 +89,7 @@ class PreAmplifier {
   void set_bias(std::uint32_t code);
   [[nodiscard]] double effective_gain() const;
   [[nodiscard]] double noise_rms() const { return noise_.rms(); }
+  [[nodiscard]] sim::Rng& noise_stream() { return noise_.stream(); }
 
   double process(double x);
 
@@ -122,6 +124,7 @@ class Comparator {
   [[nodiscard]] double effective_offset() const { return offset_eff_; }
   [[nodiscard]] double effective_noise_rms() const;
   [[nodiscard]] double noise_rms() const { return noise_.rms(); }
+  [[nodiscard]] sim::Rng& noise_stream() { return noise_.stream(); }
 
  private:
   double offset_chip_;
@@ -150,6 +153,7 @@ class FeedbackDac {
   [[nodiscard]] double level_plus() const { return level_plus_; }
   [[nodiscard]] double level_minus() const { return level_minus_; }
   [[nodiscard]] double noise_rms() const { return noise_.rms(); }
+  [[nodiscard]] sim::Rng& noise_stream() { return noise_.stream(); }
 
   /// Converts one (analog or digital) comparator sample to the feedback
   /// waveform value.
@@ -205,6 +209,7 @@ class OutputBuffer {
   void set_code(std::uint32_t code);
   [[nodiscard]] double gain() const { return gain_; }
   [[nodiscard]] double noise_rms() const { return noise_.rms(); }
+  [[nodiscard]] sim::Rng& noise_stream() { return noise_.stream(); }
   double process(double x);
 
  private:

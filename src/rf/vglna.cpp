@@ -79,6 +79,4 @@ double Vglna::process(double x) {
   return y;
 }
 
-void Vglna::reset() {}
-
 }  // namespace analock::rf

@@ -66,9 +66,6 @@ class Vglna {
   /// Amplifies one input sample (volts in, volts out).
   double process(double x);
 
-  /// Clears stage state (noise source streams keep advancing).
-  void reset();
-
   /// Gain in dB a given code would select on this chip instance.
   [[nodiscard]] double gain_db_for_code(std::uint32_t code) const;
 
@@ -79,6 +76,8 @@ class Vglna {
 
   /// RMS of the input-referred noise stream at the current code.
   [[nodiscard]] double noise_rms() const { return noise_.rms(); }
+  /// The input-referred noise stream itself.
+  [[nodiscard]] sim::Rng& noise_stream() { return noise_.stream(); }
 
  private:
   void rebuild_stages();

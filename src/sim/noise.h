@@ -33,6 +33,10 @@ class GaussianNoise {
   [[nodiscard]] double rms() const { return rms_; }
   void set_rms(double rms) { rms_ = rms; }
 
+  /// The stream the samples are drawn from (rf::ReceiverBatch's one-lane
+  /// form draws from it in place).
+  [[nodiscard]] Rng& stream() { return rng_; }
+
   /// Next noise sample.
   double operator()() { return rms_ == 0.0 ? 0.0 : rng_.gaussian(0.0, rms_); }
 

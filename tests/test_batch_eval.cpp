@@ -1,8 +1,9 @@
 // Bit-exactness and infrastructure tests for the evaluation engine: FFT
 // plans, the thread pool, batched periodograms, the LockEvaluator
-// oracles (one-key calls and BatchEvaluator batches alike) against a
-// reference built directly on the scalar rf::Receiver, and the noise
-// tape each evaluator replays.
+// oracles (one-key calls and BatchEvaluator batches alike) and the
+// rf::Receiver captures of one live chip against a reference that steps
+// the scalar blocks sample by sample, and the noise tape each evaluator
+// replays.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -10,6 +11,7 @@
 #include <stdexcept>
 #include <vector>
 
+#include "calib/oscillation_tuner.h"
 #include "dsp/fft.h"
 #include "dsp/fft_plan.h"
 #include "dsp/spectrum.h"
@@ -177,11 +179,38 @@ TEST(Periodogram, ManyComplexMatchesPerLane) {
 // Oracle parity against the scalar reference
 // ---------------------------------------------------------------------
 
-/// The one-key oracle bodies built directly on the scalar rf::Receiver:
-/// a freshly seeded receiver per measurement, its capture, a
-/// Periodogram, the metric, then the fault injector. LockEvaluator steps
-/// its keys as rf::ReceiverBatch lanes instead, and must reproduce these
-/// readings bit for bit.
+/// The scalar analog chain: `rx`'s blocks stepped one sample at a time,
+/// `Vglna::process` then `BpSigmaDelta::step`, from reset dynamic state.
+/// Returns the outputs after the first `settle` and advances `rx`'s noise
+/// streams as far as the blocks draw. Every rf::ReceiverBatch capture,
+/// and so every rf::Receiver capture, is checked against this chain.
+std::vector<double> scalar_modulator(rf::Receiver& rx,
+                                     std::span<const double> rf_in,
+                                     std::size_t settle) {
+  rx.modulator().reset();
+  std::vector<double> out;
+  for (std::size_t i = 0; i < rf_in.size(); ++i) {
+    const double y = rx.modulator().step(rx.vglna().process(rf_in[i]));
+    if (i >= settle) out.push_back(y);
+  }
+  return out;
+}
+
+/// The scalar chain through a fresh digital backend: every baseband
+/// sample after the first `settle_baseband`.
+rf::BasebandCapture scalar_baseband(rf::Receiver& rx,
+                                    std::span<const double> rf_in,
+                                    std::size_t settle,
+                                    std::size_t settle_baseband) {
+  rf::DigitalBackend backend(rx.fs_hz(), rx.config().digital_mode);
+  return backend.process(scalar_modulator(rx, rf_in, settle),
+                         settle_baseband);
+}
+
+/// The one-key oracle bodies built on the scalar chain: a freshly seeded
+/// receiver per measurement, its capture, a Periodogram, the metric, then
+/// the fault injector. LockEvaluator steps its keys as rf::ReceiverBatch
+/// lanes instead, and must reproduce these readings bit for bit.
 class ReferenceOracle {
  public:
   ReferenceOracle(const rf::Standard& standard,
@@ -202,8 +231,8 @@ class ReferenceOracle {
     const double offset = rf::default_tone_offset_hz(*standard_);
     const auto rf_in = rf::make_test_tone(
         *standard_, input_dbm, options_.settle + options_.fft_size, offset);
-    const auto capture = receiver.capture_modulator(rf_in, options_.settle);
-    const dsp::Periodogram p(capture.output, standard_->fs_hz());
+    const auto output = scalar_modulator(receiver, rf_in, options_.settle);
+    const dsp::Periodogram p(output, standard_->fs_hz());
     const auto snr = dsp::measure_snr_osr(p, standard_->f0_hz + offset,
                                           standard_->fs_hz() / 4.0,
                                           standard_->osr);
@@ -219,13 +248,13 @@ class ReferenceOracle {
     const std::size_t n =
         rf::receiver_input_length(options_.baseband_points, options_.settle);
     const auto rf_in = rf::make_test_tone(*standard_, input_dbm, n, offset);
-    auto capture = receiver.capture_receiver(rf_in, options_.settle);
-    auto& bb = capture.baseband.samples;
+    auto capture = scalar_baseband(receiver, rf_in, options_.settle, 16);
+    auto& bb = capture.samples;
     if (bb.size() > options_.baseband_points) {
       bb.resize(options_.baseband_points);
     }
     if (bb.size() < options_.baseband_points || bb.empty()) return -200.0;
-    const dsp::Periodogram p(bb, capture.baseband.fs_hz);
+    const dsp::Periodogram p(bb, capture.fs_hz);
     const double half_band = standard_->fs_hz() / (4.0 * standard_->osr);
     const auto snr = dsp::measure_snr(p, offset, -half_band, half_band);
     return faulted("eval.snr_receiver", snr.snr_db);
@@ -239,8 +268,8 @@ class ReferenceOracle {
     const auto rf_in = rf::make_two_tone(
         *standard_, options_.two_tone_dbm,
         options_.settle + options_.sfdr_fft_size, spacing);
-    const auto capture = receiver.capture_modulator(rf_in, options_.settle);
-    const dsp::Periodogram p(capture.output, standard_->fs_hz());
+    const auto output = scalar_modulator(receiver, rf_in, options_.settle);
+    const dsp::Periodogram p(output, standard_->fs_hz());
     const double half_band = standard_->fs_hz() / (4.0 * standard_->osr);
     const double f0 = standard_->fs_hz() / 4.0;
     const auto sfdr = dsp::measure_sfdr_two_tone(
@@ -445,10 +474,10 @@ TEST(BatchEvaluator, ReceiverEarlyExitMatchesScalar) {
   for (std::size_t l = 0; l < configs.size(); ++l) {
     rf::Receiver receiver(standard, pv, rng);
     receiver.configure(configs[l]);
-    const auto capture = receiver.capture_receiver(rf_in, settle, settle_bb);
-    ASSERT_GE(capture.baseband.samples.size(), points);
+    const auto capture = scalar_baseband(receiver, rf_in, settle, settle_bb);
+    ASSERT_GE(capture.samples.size(), points);
     for (std::size_t k = 0; k < points; ++k) {
-      EXPECT_EQ(capture.baseband.samples[k], bb[l * points + k])
+      EXPECT_EQ(capture.samples[k], bb[l * points + k])
           << "lane " << l << " sample " << k;
     }
   }
@@ -587,6 +616,107 @@ TEST(BatchEvaluator, TrialCountsMatchScalar) {
 }
 
 // ---------------------------------------------------------------------
+// Live one-lane captures of one chip
+// ---------------------------------------------------------------------
+
+TEST(ReceiverCapture, LiveStreamsContinueAcrossMeasurements) {
+  // One chip makes the oscillation-mode measurements of a tuner walk,
+  // then mission-mode captures, then test-mux, output-buffer and Gmin
+  // toggles, then oscillation mode again. Every capture must equal the
+  // scalar chain stepped on an identically seeded receiver, so each noise
+  // stream has to continue exactly where the previous measurement left
+  // it, including the streams a configuration does not read.
+  sim::Rng chip_rng(2718);
+  const auto pv = sim::ProcessVariation::monte_carlo(chip_rng, 0);
+  const rf::Standard& standard = rf::standard_max_3ghz();
+  const sim::Rng rng = chip_rng.fork("calibration-dut");
+  rf::Receiver chip(standard, pv, rng);
+  rf::Receiver ref(standard, pv, rng);
+
+  auto oscillation = [&](std::uint32_t coarse, std::uint32_t fine,
+                         std::uint32_t q) {
+    rf::ReceiverConfig cfg = chip.config();
+    cfg.modulator = calib::oscillation_mode_config(coarse, fine, q);
+    return cfg;
+  };
+  rf::ReceiverConfig mission;
+  mission.digital_mode = standard.digital_mode;
+  mission.vglna_gain = 10;
+  mission.modulator.cap_coarse = 96;
+  mission.modulator.cap_fine = 140;
+  mission.modulator.q_enh = 20;
+
+  auto expect_modulator = [&](const rf::ReceiverConfig& cfg,
+                              std::span<const double> in,
+                              std::size_t settle, const char* what) {
+    SCOPED_TRACE(what);
+    chip.configure(cfg);
+    ref.configure(cfg);
+    const auto capture = chip.capture_modulator(in, settle);
+    EXPECT_EQ(capture.fs_hz, standard.fs_hz());
+    EXPECT_EQ(capture.output, scalar_modulator(ref, in, settle));
+  };
+
+  // Settle + measure spans windows and ends off the 4096-sample grid.
+  const std::vector<double> zeros(4096 + 6000, 0.0);
+  expect_modulator(oscillation(128, 128, 63), zeros, 4096, "coarse 128");
+  expect_modulator(oscillation(64, 128, 63), zeros, 4096, "coarse 64");
+  expect_modulator(oscillation(96, 128, 63), zeros, 4096, "coarse 96");
+  expect_modulator(oscillation(96, 60, 63), zeros, 4096, "fine 60");
+  expect_modulator(oscillation(96, 60, 40), zeros, 2000, "q 40");
+
+  const auto tone = rf::make_test_tone(standard, -25.0, 300 + 5000);
+  expect_modulator(mission, tone, 300, "mission");
+  {
+    SCOPED_TRACE("mission receiver");
+    // 123 decimation blocks, then a 40-sample tail across the 8192-sample
+    // window edge: it yields no baseband sample, but the scalar chain
+    // still draws noise for it.
+    const auto rx_in = rf::make_test_tone(standard, -25.0, 300 + 64 * 123 + 40);
+    chip.configure(mission);
+    ref.configure(mission);
+    const auto capture = chip.capture_receiver(rx_in, 300, 16);
+    const auto expected = scalar_baseband(ref, rx_in, 300, 16);
+    EXPECT_EQ(capture.baseband.fs_hz, expected.fs_hz);
+    ASSERT_EQ(capture.baseband.samples.size(), 107u);
+    EXPECT_EQ(capture.baseband.samples, expected.samples);
+  }
+  for (const std::uint32_t mux : {1u, 2u, 3u}) {
+    rf::ReceiverConfig cfg = mission;
+    cfg.modulator.test_mux = mux;
+    expect_modulator(cfg, tone, 300, "test mux");
+  }
+  rf::ReceiverConfig buffered = mission;
+  buffered.modulator.buffer_in_path = true;
+  expect_modulator(buffered, tone, 300, "buffer in path");
+  buffered.modulator.gmin_enable = false;
+  expect_modulator(buffered, tone, 300, "Gmin off");
+  expect_modulator(mission, tone, 300, "mission again");
+  expect_modulator(oscillation(96, 60, 63), zeros, 4096, "oscillation again");
+}
+
+TEST(ReceiverCapture, OscillationMeasurementDrawsSevenStreams) {
+  // Oscillation mode reads every stream but Gmin's, one deviate per
+  // stimulus sample each, and there is no tape to replay.
+  obs::Registry& reg = obs::registry();
+  const bool was_enabled = reg.enabled();
+  reg.set_enabled(true);
+  obs::Counter& drawn = reg.counter("rf.noise.drawn");
+  obs::Counter& replayed = reg.counter("rf.noise.replayed");
+  sim::Rng chip_rng(5);
+  const auto pv = sim::ProcessVariation::monte_carlo(chip_rng, 0);
+  rf::Receiver chip(rf::standard_max_3ghz(), pv,
+                    chip_rng.fork("calibration-dut"));
+  calib::OscillationTuner tuner(chip);
+  const calib::OscillationTuner::Options options;
+  const std::uint64_t d0 = drawn.value(), r0 = replayed.value();
+  (void)tuner.measure(100, 128);
+  EXPECT_EQ(drawn.value() - d0, 7 * (options.settle + options.measure));
+  EXPECT_EQ(replayed.value() - r0, 0u);
+  reg.set_enabled(was_enabled);
+}
+
+// ---------------------------------------------------------------------
 // Noise tape replay
 // ---------------------------------------------------------------------
 
@@ -645,10 +775,10 @@ TEST(NoiseTape, ReplayMatchesScalarAroundTheTapeEnd) {
       for (std::size_t l = 0; l < configs.size(); ++l) {
         rf::Receiver receiver(standard, pv, rng);
         receiver.configure(configs[l]);
-        const auto capture = receiver.capture_modulator(rf_in, settle);
-        ASSERT_EQ(capture.output.size(), n - settle);
+        const auto output = scalar_modulator(receiver, rf_in, settle);
+        ASSERT_EQ(output.size(), n - settle);
         for (std::size_t k = 0; k < n - settle; ++k) {
-          ASSERT_EQ(capture.output[k], expected[l * (n - settle) + k])
+          ASSERT_EQ(output[k], expected[l * (n - settle) + k])
               << "lane " << l << " sample " << k;
         }
       }
@@ -678,10 +808,10 @@ TEST(NoiseTape, StreamedReceiverCaptureMatchesScalarPastTheTape) {
       rf::Receiver receiver(standard, pv, rng);
       receiver.configure(configs[l]);
       const auto capture =
-          receiver.capture_receiver(rf_in, settle, settle_bb);
-      ASSERT_GE(capture.baseband.samples.size(), points);
+          scalar_baseband(receiver, rf_in, settle, settle_bb);
+      ASSERT_GE(capture.samples.size(), points);
       for (std::size_t k = 0; k < points; ++k) {
-        ASSERT_EQ(capture.baseband.samples[k], bb[l * points + k])
+        ASSERT_EQ(capture.samples[k], bb[l * points + k])
             << "call " << call << " lane " << l << " sample " << k;
       }
     }

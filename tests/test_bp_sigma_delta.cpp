@@ -70,8 +70,12 @@ double modulator_snr_db(const rf::ModulatorConfig& cfg,
   auto gen = dsp::single_tone_dbm(mode.f0_hz + offset, -25.0, mode.fs_hz());
   std::vector<double> rf_in = gen.generate(2048 + 8192);
   for (double& x : rf_in) x *= input_scale;
-  const auto capture = mod.run(rf_in, 2048);
-  dsp::Periodogram p(capture.output, mode.fs_hz());
+  std::vector<double> output;
+  for (std::size_t i = 0; i < rf_in.size(); ++i) {
+    const double y = mod.step(rf_in[i]);
+    if (i >= 2048) output.push_back(y);
+  }
+  dsp::Periodogram p(output, mode.fs_hz());
   const auto snr = dsp::measure_snr_osr(p, mode.f0_hz + offset,
                                         mode.fs_hz() / 4.0, mode.osr);
   return snr.snr_db;

@@ -136,6 +136,45 @@ TEST(Calibrator, HardenedCleanRunProducesTheSameKey) {
   EXPECT_EQ(r.faults_injected, 0u);
 }
 
+TEST(Calibrator, HardenedSpecRecoveryRetriesUnderFaults) {
+  // A heavy spike/dropout campaign leaves this chip below spec after the
+  // step 11-14 search, so the hardened path runs both spec-recovery bias
+  // passes and still misses spec. The key, the failure and every step-14
+  // measurement count are pinned.
+  sim::Rng master(4242);
+  const auto pv = sim::ProcessVariation::monte_carlo(master, 1);
+  fault::FaultPlan plan;
+  plan.seed = 1001;
+  plan.campaign_id = "spec-recovery";
+  plan.meas_spike_prob = 0.45;
+  plan.meas_spike_sigma_db = 8.0;
+  plan.meas_dropout_prob = 0.225;
+  fault::FaultInjector injector(plan);
+  Calibrator::Options opt;
+  opt.tune_vglna_segments = false;
+  opt.refine_after_vglna = false;
+  opt.bias.passes = 1;
+  opt.hardening.enabled = true;
+  Calibrator calibrator(rf::standard_bluetooth(), pv,
+                        master.fork("fault-chip", 1), opt);
+  calibrator.set_fault_injector(&injector);
+  const auto r = calibrator.run();
+  EXPECT_EQ(r.key.bits(), 0x1e1a0d30c565530aull);
+  EXPECT_FALSE(r.success);
+  EXPECT_EQ(r.failure, calib::FailureReason::kSpecNotMet);
+  EXPECT_EQ(r.total_retries, 2u);
+  EXPECT_EQ(r.total_measurements, 668u);
+  std::vector<std::uint64_t> step14;
+  std::size_t recovery_passes = 0;
+  for (const auto& entry : r.log) {
+    if (entry.step != 14) continue;
+    step14.push_back(entry.measurements);
+    if (entry.description == "spec-recovery bias pass") ++recovery_passes;
+  }
+  EXPECT_EQ(recovery_passes, 2u);
+  EXPECT_EQ(step14, (std::vector<std::uint64_t>{191, 183, 193}));
+}
+
 TEST(Calibrator, CheckpointResumeReproducesKeyWithFewerMeasurements) {
   sim::Rng master(909);
   const auto pv = sim::ProcessVariation::monte_carlo(master, 0);

@@ -73,19 +73,17 @@ TEST(DigitalBackend, SubThresholdInputFreezesSlicer) {
 }
 
 TEST(DigitalBackend, HysteresisHoldsBetweenThresholds) {
+  // Drive above VIH, then dither inside the dead zone: the slicer must
+  // hold at +1, so the baseband equals what a constant +1 produces.
+  std::vector<double> in(64, 1.0);
+  for (int i = 0; i < 6400; ++i) in.push_back(0.2 * std::sin(0.1 * i));
   DigitalBackend be(12.0e9, 0);
-  std::complex<double> out;
-  // Drive above VIH, then dither inside the dead zone: the slicer state
-  // must hold at +1 (observable via the DC content of the mixer input is
-  // not directly exposed, so drive enough samples and check the baseband
-  // is what a constant +1 produces: zero after the DC-free mixer? The
-  // fs/4 mixer maps a constant to a tone at -fs/4, out of band).
-  // Simpler: feed a +1 step then sub-threshold noise; no crash and the
-  // output remains finite.
-  for (int i = 0; i < 64; ++i) be.push(1.0, out);
-  for (int i = 0; i < 6400; ++i) {
-    be.push(0.2 * std::sin(0.1 * i), out);
-    EXPECT_TRUE(std::isfinite(out.real()));
+  DigitalBackend held(12.0e9, 0);
+  const auto out = be.process(in);
+  const auto expected = held.process(std::vector<double>(in.size(), 1.0));
+  ASSERT_EQ(out.samples.size(), expected.samples.size());
+  for (std::size_t i = 0; i < out.samples.size(); ++i) {
+    EXPECT_EQ(out.samples[i], expected.samples[i]) << i;
   }
 }
 
@@ -112,20 +110,16 @@ TEST(DigitalBackend, DigitalModeSelectsChannelFilter) {
 
 TEST(DigitalBackend, ResetRestoresInitialState) {
   DigitalBackend be(12.0e9, 0);
-  std::complex<double> out;
-  for (int i = 0; i < 640; ++i) be.push(1.0, out);
+  (void)be.process(std::vector<double>(640, 1.0));
   be.reset();
   DigitalBackend fresh(12.0e9, 0);
-  std::complex<double> a;
-  std::complex<double> b;
-  for (int i = 0; i < 640; ++i) {
-    const bool ra = be.push(-1.0, a);
-    const bool rb = fresh.push(-1.0, b);
-    EXPECT_EQ(ra, rb);
-    if (ra) {
-      EXPECT_NEAR(a.real(), b.real(), 1e-12);
-      EXPECT_NEAR(a.imag(), b.imag(), 1e-12);
-    }
+  const std::vector<double> low(640, -1.0);
+  const auto a = be.process(low);
+  const auto b = fresh.process(low);
+  ASSERT_EQ(a.samples.size(), b.samples.size());
+  for (std::size_t i = 0; i < a.samples.size(); ++i) {
+    EXPECT_NEAR(a.samples[i].real(), b.samples[i].real(), 1e-12) << i;
+    EXPECT_NEAR(a.samples[i].imag(), b.samples[i].imag(), 1e-12) << i;
   }
 }
 

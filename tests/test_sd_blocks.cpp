@@ -232,4 +232,30 @@ TEST(OutputBuffer, GainCodesScaleOutput) {
   EXPECT_LE(std::abs(buf.process(10.0)), OutputBuffer::kRail);
 }
 
+TEST(NoiseRms, PositiveForEveryBiasCode) {
+  // rf::ReceiverBatch draws every noise stream a lane reads, while
+  // GaussianNoise skips its draw at RMS 0, so no code may reach 0 — not
+  // even with the comparator's noise scale at the lowest value a
+  // Box-Muller deviate (|z| < 8.6) can give it.
+  auto pv = sim::ProcessVariation::nominal();
+  pv.comparator_noise_rel = -0.86;
+  pv.dac_gain_rel = 0.2;
+  const sim::Rng rng(8);
+  Transconductor gm(pv, rng.fork("gm"));
+  PreAmplifier pre(pv, rng.fork("pre"));
+  Comparator cmp(pv, rng.fork("cmp"));
+  FeedbackDac dac(pv, rng.fork("dac"));
+  for (std::uint32_t code = 0; code <= 63; ++code) {
+    gm.set_bias(code);
+    pre.set_bias(code);
+    cmp.set_bias(code);
+    dac.set_bias(code);
+    EXPECT_GT(gm.noise_rms(), 0.0) << code;
+    EXPECT_GT(pre.noise_rms(), 0.0) << code;
+    EXPECT_GT(cmp.noise_rms(), 0.0) << code;
+    EXPECT_GT(dac.noise_rms(), 0.0) << code;
+  }
+  EXPECT_GT(OutputBuffer(rng).noise_rms(), 0.0);
+}
+
 }  // namespace
