@@ -27,7 +27,6 @@ std::vector<double> DigitalBackend::channel_taps_for_mode(
 
 DigitalBackend::DigitalBackend(double fs_hz, std::uint32_t digital_mode)
     : fs_hz_(fs_hz),
-      mode_(digital_mode & 7u),
       cic_(kCicStages, kCicFactor),
       hb1_(dsp::design_halfband(23), 2),
       hb2_(dsp::design_halfband(23), 2),
@@ -66,15 +65,6 @@ BasebandCapture DigitalBackend::process(std::span<const double> modulator,
     }
   }
   return capture;
-}
-
-void DigitalBackend::reset() {
-  slicer_state_ = -1.0;
-  mixer_.reset();
-  cic_.reset();
-  hb1_.reset();
-  hb2_.reset();
-  channel_.reset();
 }
 
 }  // namespace analock::rf

@@ -41,11 +41,9 @@ class DigitalBackend {
 
   DigitalBackend(double fs_hz, std::uint32_t digital_mode);
 
-  [[nodiscard]] double input_rate_hz() const { return fs_hz_; }
   [[nodiscard]] double output_rate_hz() const {
     return fs_hz_ / static_cast<double>(kTotalDecimation);
   }
-  [[nodiscard]] std::uint32_t digital_mode() const { return mode_; }
 
   /// Channel-filter taps the backend instantiates for a 3-bit mode;
   /// rf::ReceiverBatch builds its lane-parallel chain from the same
@@ -58,15 +56,12 @@ class DigitalBackend {
   [[nodiscard]] BasebandCapture process(std::span<const double> modulator,
                                         std::size_t settle_out = 0);
 
-  void reset();
-
  private:
   /// Feeds one modulator output sample; returns true and fills `out` when
   /// a baseband sample is produced.
   bool push(double modulator_sample, std::complex<double>& out);
 
   double fs_hz_;
-  std::uint32_t mode_;
   double slicer_state_ = -1.0;
   dsp::QuarterRateMixer mixer_;
   dsp::CicDecimator<std::complex<double>> cic_;

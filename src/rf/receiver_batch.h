@@ -123,7 +123,6 @@ class ReceiverBatch {
   ReceiverBatch& operator=(const ReceiverBatch&) = delete;
 
   [[nodiscard]] std::size_t lanes() const { return consts_.size(); }
-  [[nodiscard]] double fs_hz() const { return fs_hz_; }
   /// Decimated baseband rate of capture_receiver outputs.
   [[nodiscard]] double baseband_fs_hz() const {
     return fs_hz_ / static_cast<double>(DigitalBackend::kTotalDecimation);

@@ -56,7 +56,6 @@ class Transconductor {
 
   void set_bias(std::uint32_t code);
   void set_enabled(bool enabled) { enabled_ = enabled; }
-  [[nodiscard]] bool enabled() const { return enabled_; }
   [[nodiscard]] double effective_gm() const;
 
   /// IIP3 amplitude at the current bias (linearity improves with bias

@@ -108,19 +108,4 @@ TEST(DigitalBackend, DigitalModeSelectsChannelFilter) {
   }
 }
 
-TEST(DigitalBackend, ResetRestoresInitialState) {
-  DigitalBackend be(12.0e9, 0);
-  (void)be.process(std::vector<double>(640, 1.0));
-  be.reset();
-  DigitalBackend fresh(12.0e9, 0);
-  const std::vector<double> low(640, -1.0);
-  const auto a = be.process(low);
-  const auto b = fresh.process(low);
-  ASSERT_EQ(a.samples.size(), b.samples.size());
-  for (std::size_t i = 0; i < a.samples.size(); ++i) {
-    EXPECT_NEAR(a.samples[i].real(), b.samples[i].real(), 1e-12) << i;
-    EXPECT_NEAR(a.samples[i].imag(), b.samples[i].imag(), 1e-12) << i;
-  }
-}
-
 }  // namespace
