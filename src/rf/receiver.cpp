@@ -32,15 +32,16 @@ ModulatorCapture Receiver::capture_modulator(std::span<const double> rf,
 ReceiverCapture Receiver::capture_receiver(std::span<const double> rf,
                                            std::size_t settle,
                                            std::size_t settle_baseband) {
-  // Every baseband sample the whole of `rf` yields after the settle.
+  // Every baseband sample the whole of `rf` yields after the settle; an
+  // input too short to fill the baseband settle yields none.
   const std::size_t blocks =
       rf.size() > settle
           ? (rf.size() - settle) / DigitalBackend::kTotalDecimation
           : 0;
-  const std::size_t points = blocks - std::min(blocks, settle_baseband);
+  const std::size_t dropped = std::min(blocks, settle_baseband);
   par::ThreadPool caller_thread(1);
   ReceiverBatch one(*this);
-  return {{one.capture_receiver(rf, settle, points, settle_baseband,
+  return {{one.capture_receiver(rf, settle, blocks - dropped, dropped,
                                 caller_thread),
            one.baseband_fs_hz()}};
 }

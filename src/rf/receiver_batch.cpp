@@ -342,7 +342,7 @@ ReceiverBatch::NoiseWork ReceiverBatch::run_lanes(std::size_t begin,
 
       double* mod_lane = t.run_backend ? nullptr : &t.mod_out[l * n_mod];
       std::complex<double>* bb_lane =
-          t.run_backend ? &t.bb_out[l * t.baseband_points] : nullptr;
+          t.run_backend ? t.bb_out.data() + l * t.baseband_points : nullptr;
 
       // ---- pass 1: stateless front end (VGLNA + transconductor) -------
       // A disabled transconductor pins the loop signal to zero, which

@@ -42,6 +42,14 @@ TEST(Receiver, CaptureLengthAccounting) {
   EXPECT_DOUBLE_EQ(cap.baseband.fs_hz, 12.0e9 / 64.0);
 }
 
+TEST(Receiver, ShortReceiverCaptureIsEmpty) {
+  // 100 samples past the settle make one decimated output, which the
+  // 16-sample baseband settle drops.
+  auto rx = make_receiver();
+  const auto in = make_test_tone(rx.standard(), -25.0, 2048 + 100);
+  EXPECT_TRUE(rx.capture_receiver(in).baseband.samples.empty());
+}
+
 TEST(Receiver, ModulatorCaptureDropsSettle) {
   auto rx = make_receiver();
   const auto in = make_test_tone(rx.standard(), -25.0, 4096);
